@@ -32,7 +32,7 @@ for p in points:
 print("Hessian-determinant sum:", chy_amplitude(unit, points))
 print("tree amplitude:", tree_amplitude(unit))
 
-for n in (5, 6):
+for n in (5, 6, 7):
     k = sample_kinematics(n, seed=3)
     pts = solve_scattering(k, tol=1e-10, seed=3)
     value = chy_amplitude(k, pts)

@@ -8,12 +8,17 @@ potential L = sum s_ij log p_ij has exactly (n-3)! complex critical points
 for generic kinematics; the amplitude is recovered from the inverse
 determinants of the theta-Hessian (theta_a = x_a d/dx_a) summed over them.
 
-Five points reduce to a closed-form quadratic; four points are linear; six
-and beyond use multistart Newton with an exact analytic Jacobian, root
-deduplication, and deflation of already-found roots.  Every returned root is
-re-verified against the raw gradient, so deflation can only help, never
-corrupt.  The (n-3)-dependent global sign of the Hessian-determinant sum is
-fixed empirically against the tree amplitude and pinned by the test suite.
+Four points are linear and five reduce to a closed-form quadratic.  Six and
+beyond run one parameter homotopy (Sturmfels-Telen, arXiv:2012.05041).  For
+positive weights s0 on every chart minor, L is strictly concave on each of
+the (n-3)! bounded chambers {0 < sigma_pi(3) < ... < sigma_pi(n-1) < 1} and
+has exactly one critical point there (Varchenko); damped Newton finds it,
+and all of them are tracked along s(t) = (1-t) gamma s0 + t s to the target
+kinematics, gamma a random phase that keeps the paths off the discriminant.
+Every endpoint is Newton-polished and re-verified against the raw gradient,
+so a failed or jumped path can lose a root but never add a wrong one.  The
+(n-3)-dependent global sign of the Hessian-determinant sum is fixed
+empirically against the tree amplitude and pinned by the test suite.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -34,7 +41,7 @@ _LETTERS = ("x", "y", "z")
 
 
 class WrongCountError(RuntimeError):
-    """Root count differs from (n-3)!: degenerate kinematics or budget."""
+    """Root count differs from (n-3)!: degenerate kinematics or lost paths."""
 
     def __init__(self, expected: int, found: int, message: str = ""):
         self.expected = expected
@@ -78,6 +85,15 @@ def minors(n: int) -> dict[tuple[int, int], Polynomial]:
     return out
 
 
+def _derivatives(s: np.ndarray, k: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """Minors p = k + c.x, gradient and Jacobian of sum_t s_t log p_t at the
+    chart points x of shape (..., m); the weights s broadcast against p."""
+    p = k + x @ c.T
+    g = (s / p) @ c
+    j = -np.einsum("...t,ta,tc->...ac", s / p**2, c, c)
+    return p, g, j
+
+
 @dataclass(frozen=True)
 class PotentialTerm:
     i: int
@@ -89,32 +105,38 @@ class PotentialTerm:
 
 @dataclass(frozen=True)
 class ScatteringPotential:
-    """L = sum s_ij log p_ij with the constant and vanishing terms dropped."""
+    """L = sum s_ij log p_ij over the non-constant chart minors.
+
+    Terms with s_ij = 0 are kept: they add nothing to L, but the homotopy's
+    start system puts a positive weight on every minor."""
 
     n: int
     coords: tuple[str, ...]
     terms: tuple[PotentialTerm, ...]
 
+    @cached_property
+    def _arrays(self):
+        out = (
+            np.array([float(t.s) for t in self.terms]),
+            np.array([float(t.const) for t in self.terms]),
+            np.array([t.coeffs for t in self.terms], dtype=float),
+        )
+        for a in out:
+            a.flags.writeable = False  # shared by every caller
+        return out
+
     def arrays(self):
-        s = np.array([float(t.s) for t in self.terms])
-        k = np.array([float(t.const) for t in self.terms])
-        c = np.array([t.coeffs for t in self.terms], dtype=float)
-        return s, k, c
+        """(s, k, c): weights, constants and coefficient rows of the minors."""
+        return self._arrays
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        s, k, c = self.arrays()
-        p = k + c @ x
-        return (s / p) @ c
+        return _derivatives(*self.arrays(), x)[1]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        s, k, c = self.arrays()
-        p = k + c @ x
-        w = s / p**2
-        return -np.einsum("t,ta,tc->ac", w, c, c)
+        return _derivatives(*self.arrays(), x)[2]
 
     def theta_hessian(self, x: np.ndarray) -> np.ndarray:
-        g = self.gradient(x)
-        h = self.hessian(x)
+        _, g, h = _derivatives(*self.arrays(), x)
         return np.diag(x * g) + np.outer(x, x) * h
 
 
@@ -138,11 +160,8 @@ def scattering_potential(k: KinematicData) -> ScatteringPotential:
         )
         if not any(coeffs):
             continue  # constant minor contributes nothing
-        s = k.s[i - 1][j - 1]
-        if s == 0:
-            continue
         const = p.terms.get((0,) * m, Fraction(0))
-        terms.append(PotentialTerm(i, j, s, Fraction(const), coeffs))
+        terms.append(PotentialTerm(i, j, k.s[i - 1][j - 1], Fraction(const), coeffs))
     return ScatteringPotential(k.n, coords, tuple(terms))
 
 
@@ -191,80 +210,34 @@ def _solve_n5(k: KinematicData) -> list[np.ndarray]:
     return roots
 
 
+def _solve(j: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched solution of j y = b; a singular matrix gives a nan row
+    instead of an exception, so one bad path never stops the others."""
+    try:
+        return np.linalg.solve(j, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if j.ndim == 2:
+            return np.full_like(b, np.nan)
+        return np.stack([_solve(jj, bb) for jj, bb in zip(j, b)])
+
+
 def _newton_polish(pot: ScatteringPotential, x: np.ndarray, iterations: int = 8) -> np.ndarray:
-    s, k, c = pot.arrays()
-    if not np.all(np.isfinite(x)):
-        return x
-    for _ in range(iterations):
-        p = k + c @ x
-        if np.any(np.abs(p) < 1e-300) or not np.all(np.isfinite(p)):
-            return x
-        g = (s / p) @ c
-        j = -np.einsum("t,ta,tc->ac", s / p**2, c, c)
-        try:
-            step = np.linalg.solve(j, -g)
-        except np.linalg.LinAlgError:
-            return x
-        x = x + step
-        if np.max(np.abs(step)) < 1e-16 * (1 + np.max(np.abs(x))):
-            break
-    return x
-
-
-def _batched_newton(
-    pot: ScatteringPotential,
-    starts: np.ndarray,
-    known: list[np.ndarray],
-    iterations: int = 120,
-) -> np.ndarray:
-    """Vectorized damped Newton on the gradient system, deflated by known
-    roots.
-
-    Deflation divides the residual by g(x) = prod over known roots r of
-    sum_a (x_a - r_a)^2; the Jacobian follows by the product rule.  Steps are
-    clamped to unit length, which slows the drift toward the residual's
-    spurious zero at infinity without affecting local quadratic convergence.
-    Every candidate is re-verified on the undamped, undeflated gradient, so
-    none of this can corrupt the root set.
-    """
-    s, k, c = pot.arrays()
-    m = starts.shape[1]
-    x = starts.copy()
-    for _ in range(iterations):
-        p = k + x @ c.T
-        ps = np.where(np.abs(p) < 1e-300, 1e-300, p)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = (s / ps) @ c
-            j = -np.einsum("bt,ta,tc->bac", s / ps**2, c, c)
-        if known:
-            q = np.stack([((x - r) ** 2).sum(axis=1) for r in known])  # (R, B)
-            q = np.where(np.abs(q) < 1e-300, 1e-300, q)
-            gprod = np.prod(q, axis=0)
-            dlog = np.zeros_like(x)
-            for r, qr in zip(known, q):
-                dlog += 2 * (x - r) / qr[:, None]
-            g = g / gprod[:, None]
-            j = j / gprod[:, None, None] - np.einsum("ba,bc->bac", g, dlog)
-        dets = np.linalg.det(j)
-        bad = ~np.isfinite(dets) | (np.abs(dets) < 1e-280)
-        j[bad] = np.eye(m)
-        step = np.linalg.solve(j, -g[..., None])[..., 0]
-        step[bad] = 0
-        slen = np.sqrt((np.abs(step) ** 2).sum(axis=1))
-        scale = np.where(slen > 1.0, 1.0 / np.maximum(slen, 1e-300), 1.0)
-        xn = x + step * scale[:, None]
-        x = np.where(np.isfinite(xn), xn, x)
+    with np.errstate(all="ignore"):
+        for _ in range(iterations):
+            _, g, j = _derivatives(*pot.arrays(), x)
+            step = _solve(j, -g)
+            if not np.all(np.isfinite(step)):
+                return x
+            x = x + step
+            if np.max(np.abs(step)) < 1e-16 * (1 + np.max(np.abs(x))):
+                break
     return x
 
 
 def _raw_residual(pot: ScatteringPotential, x: np.ndarray) -> float:
-    s, k, c = pot.arrays()
-    if not np.all(np.isfinite(x)):
-        return float("inf")
-    p = k + c @ x
-    if np.any(np.abs(p) < 1e-300):
-        return float("inf")
-    return float(np.max(np.abs((s / p) @ c)))
+    with np.errstate(all="ignore"):
+        residual = float(np.max(np.abs(_derivatives(*pot.arrays(), x)[1])))
+    return residual if math.isfinite(residual) else float("inf")
 
 
 def _sort_key(x: np.ndarray):
@@ -279,609 +252,163 @@ def _root_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / scale)
 
 
-# -- chart changes -----------------------------------------------------------
-#
-# A Newton run can drift toward the boundary of the chart (punctures
-# colliding with the one pinned at infinity), where the raw gradient has a
-# spurious zero.  Roots sitting near that boundary are next to invisible in
-# the default chart, but become ordinary interior points after cyclically
-# relabeling the particles.  The solver therefore sweeps all n cyclic
-# gauges, mapping roots back and forth with the Moebius transformation that
-# restores the (0, 1, infinity) pinning.
+# -- six points and beyond: the positive-chamber homotopy --------------------
 
-_INF = object()
+_GAMMAS = 3  # fresh gamma draws before a short root count is final
+_MAX_STEPS = 2000  # predictor-corrector rounds over all live paths
+_MIN_STEP = 1e-12  # a path whose step shrinks below this has failed
+_MAX_STEP = 0.2  # largest step in t
+_ETA = 0.01  # aimed-for first correction, relative to the smallest minor
+_FAR = 1e8  # no root is accepted beyond this chart radius
+_NEAR = 1e-9  # relative distance to a boundary divisor that ends a path
 
 
-def _punctures(x: np.ndarray) -> list:
-    sig = [0j, 1 + 0j]
-    for v in x:
-        sig.append(sig[-1] + v)
-    return sig + [_INF]
+def _chamber_maxima(pot: ScatteringPotential, s0: np.ndarray) -> np.ndarray:
+    """The critical point of sum s0_t log|p_t| in each bounded chamber.
 
-
-def _chart(punctures: list) -> np.ndarray:
-    xs = [punctures[0] - 1.0]
-    for a, b in zip(punctures, punctures[1:]):
-        xs.append(b - a)
-    return np.array(xs)
-
-
-def _moebius(w1, w2, wn):
-    def m(z):
-        if z is _INF:
-            if w1 is _INF or wn is _INF:
-                raise ArithmeticError("puncture collides with the gauge triple")
-            return (w2 - wn) / (w2 - w1)
-        if w1 is _INF:
-            return (w2 - wn) / (z - wn)
-        if wn is _INF:
-            return (z - w1) / (w2 - w1)
-        if w2 is _INF:
-            return (z - w1) / (z - wn)
-        return (z - w1) * (w2 - wn) / ((z - wn) * (w2 - w1))
-
-    return m
-
-
-def _gauge_maps(shift: int, n: int):
-    def label(b: int) -> int:
-        return (b - 1 + shift) % n + 1
-
-    def to_original(x_shifted: np.ndarray) -> np.ndarray:
-        sig = _punctures(x_shifted)
-        w = {label(b): sig[b - 1] for b in range(1, n + 1)}
-        m = _moebius(w[1], w[2], w[n])
-        return _chart([m(w[j]) for j in range(3, n)])
-
-    def from_original(x: np.ndarray) -> np.ndarray:
-        sig = _punctures(x)
-        z = {j: sig[j - 1] for j in range(1, n + 1)}
-        m = _moebius(z[label(1)], z[label(2)], z[label(n)])
-        return _chart([m(z[label(b)]) for b in range(3, n)])
-
-    return to_original, from_original
-
-
-def _mixed_starts(rng: np.random.Generator, budget: int, m: int) -> np.ndarray:
-    """Half log-radial complex points, half near-real points: critical
-    points of real kinematics are real or in conjugate pairs and cluster
-    around the real chambers, while near-boundary roots need tiny radii."""
-    half = budget // 2
-    logr = rng.uniform(-3.0, 3.0, (half, m))
-    phi = rng.uniform(0.0, 2 * np.pi, (half, m))
-    radial = np.exp(logr) * np.exp(1j * phi)
-    re = rng.uniform(-15.0, 15.0, (budget - half, m))
-    im = rng.uniform(-0.3, 0.3, (budget - half, m))
-    return np.concatenate([radial, re + 1j * im])
-
-
-# -- six points: elimination to a matrix-polynomial eigenproblem -------------
-#
-# Multistart Newton alone cannot be made reliable here: near-boundary
-# critical points (punctures nearly colliding) have Newton basins of radius
-# ~1e-2 in every relabeling chart, an ~1e-9 volume fraction of any sensible
-# start box.  The six-point system is instead eliminated exactly.  In
-# puncture coordinates (z3, z4, z5) with (z1, z2, z6) = (0, 1, infinity),
-# each cleared equation is linear in each of the other two punctures, so z4
-# eliminates linearly, leaving two bivariate polynomials whose z5-Sylvester
-# matrix is a matrix polynomial in z3.  Its eigenvalues (companion
-# linearization after a Moebius regularization of the leading coefficient)
-# give every candidate z3; back-substitution, Newton polish, and raw-gradient
-# verification do the rest.  Spurious eigenvalues are filtered by the same
-# verification that guards the multistart path.
-
-
-def _cleared_puncture_poly(k: KinematicData, a: int, zvars: tuple[str, ...]) -> Polynomial:
-    """F_a = sum over finite b != a of s_ab * prod over finite c != a,b of
-    (z_a - z_c), the scattering equation for puncture a with denominators
-    cleared (puncture n sits at infinity and drops out)."""
-    n = k.n
-    finite = list(range(1, n))
-
-    def zpoly(idx: int) -> Polynomial:
-        if idx == 1:
-            return Polynomial.zero(zvars)
-        if idx == 2:
-            return Polynomial.const(1, zvars)
-        return Polynomial.variable(f"z{idx}")._embed(zvars)
-
-    za = zpoly(a)
-    total = Polynomial.zero(zvars)
-    for b in finite:
-        if b == a:
-            continue
-        s_ab = k.s[a - 1][b - 1]
-        if s_ab == 0:
-            continue
-        term = Polynomial.const(s_ab, zvars)
-        for c in finite:
-            if c in (a, b):
-                continue
-            term = term * (za - zpoly(c))
-        total = total + term
-    return total
-
-
-def _poly_coeffs_in(p: Polynomial, var: str) -> list[Polynomial]:
-    """Coefficients of p as a polynomial in var (index = power of var)."""
-    if var not in p.vars:
-        return [p]
-    i = p.vars.index(var)
-    rest = p.vars[:i] + p.vars[i + 1 :]
-    deg = max((e[i] for e in p.terms), default=0)
-    buckets: list[dict] = [dict() for _ in range(deg + 1)]
-    for expo, coeff in p.terms.items():
-        key = expo[:i] + expo[i + 1 :]
-        buckets[expo[i]][key] = coeff
-    return [Polynomial(rest, b) for b in buckets]
-
-
-def _solve_n6_config(k: KinematicData, elim: int, hidden: int) -> list[np.ndarray]:
-    """Candidates from one elimination configuration: puncture z_elim is
-    removed linearly, the Sylvester resultant is taken in the remaining
-    non-hidden puncture, and z_hidden becomes the eigenvalue variable."""
-    import scipy.linalg
-
-    zvars = ("z3", "z4", "z5")
-    punctures = [3, 4, 5]
-    sylv = next(p for p in punctures if p not in (elim, hidden))
-    ev, hv, sv = f"z{elim}", f"z{hidden}", f"z{sylv}"
-    fs = {a: _cleared_puncture_poly(k, a, zvars) for a in punctures}
-
-    linear = [a for a in punctures if a != elim]
-    lin1 = _poly_coeffs_in(fs[linear[0]], ev)
-    lin2 = _poly_coeffs_in(fs[linear[1]], ev)
-    if len(lin1) != 2 or len(lin2) != 2:
-        return []
-    b1, a1 = lin1  # F = a1 * z_elim + b1
-    b2, a2 = lin2
-    g1 = a1 * b2 - a2 * b1
-    fe = _poly_coeffs_in(fs[elim], ev)
-    deg_e = len(fe) - 1
-    g2 = Polynomial.zero(tuple(sorted((hv, sv))))
-    for kk, ck in enumerate(fe):
-        g2 = g2 + ck * (-b1) ** kk * a1 ** (deg_e - kk)
-
-    c1 = _poly_coeffs_in(g1, sv)
-    c2 = _poly_coeffs_in(g2, sv)
-    m1, m2 = len(c1) - 1, len(c2) - 1
-    if m1 < 1 or m2 < 1:
-        return []
-    size = m1 + m2
-    deg_u = max(
-        max((p.total_degree() for p in c1), default=0),
-        max((p.total_degree() for p in c2), default=0),
-    )
-    if deg_u < 1:
-        return []
-    smats = np.zeros((deg_u + 1, size, size), dtype=complex)
-    for row in range(m2):  # shifted copies of g1 coefficients (degree m1)
-        for kk, p in enumerate(c1):
-            for power in range(deg_u + 1):
-                smats[power, row, row + m1 - kk] += float(p.terms.get((power,), 0))
-    for row in range(m1):
-        for kk, p in enumerate(c2):
-            for power in range(deg_u + 1):
-                smats[power, m2 + row, row + m2 - kk] += float(p.terms.get((power,), 0))
-
-    # Companion linearization of the matrix polynomial; the leading block is
-    # structurally singular (the determinant degree sits below size*deg_u),
-    # so the QZ generalized eigenproblem is used and infinite eigenvalues
-    # are discarded.
-    d = deg_u
-    big = size * d
-    a_pencil = np.zeros((big, big), dtype=complex)
-    b_pencil = np.eye(big, dtype=complex)
-    for blk in range(d - 1):
-        a_pencil[blk * size : (blk + 1) * size, (blk + 1) * size : (blk + 2) * size] = np.eye(size)
-    for kpow in range(d):
-        a_pencil[(d - 1) * size :, kpow * size : (kpow + 1) * size] = -smats[kpow]
-    b_pencil[(d - 1) * size :, (d - 1) * size :] = smats[d]
-    eigenvalues = scipy.linalg.eig(a_pencil, b_pencil, right=False)
-
-    out = []
-    for u in eigenvalues:
-        if not (np.isfinite(u) and abs(u) < 1e10):
-            continue
-        u = complex(u)
-        coeffs = np.array([complex(p.evaluate({hv: u})) for p in c1][::-1])
-        if np.abs(coeffs).max() < 1e-250:
-            continue
-        for v in np.roots(coeffs):
-            vals = {hv: u, sv: complex(v)}
-            a1v = complex(a1.evaluate(vals))
-            if abs(a1v) > 1e-10:
-                e_vals = [-complex(b1.evaluate(vals)) / a1v]
-            else:
-                cubic = np.array([complex(p.evaluate(vals)) for p in fe][::-1])
-                e_vals = list(np.roots(cubic)) if len(cubic) > 1 else []
-            for w in e_vals:
-                z = {ev: complex(w), hv: u, sv: complex(v)}
-                out.append(
-                    np.array(
-                        [z["z3"] - 1.0, z["z4"] - z["z3"], z["z5"] - z["z4"]],
-                        dtype=complex,
-                    )
-                )
-    return out
-
-
-def _n6_configurations():
-    for elim in (4, 3, 5):
-        for hidden in (p for p in (3, 4, 5) if p != elim):
-            yield elim, hidden
-
-
-# -- seven points: a pseudo-remainder cascade down to one eigenproblem -------
-#
-# Same strategy one level up.  z6 eliminates linearly from three of the four
-# cleared equations and by a degree-4 resultant from the fourth; the
-# resulting triple in (z3, z4, z5) is quadratic in z4 through one member, so
-# pseudo-remainders against it leave two bivariate polynomials in (z3, z5).
-# Their z3-Sylvester matrix is a matrix polynomial in z5 whose QZ
-# eigenvalues give every candidate z5; back-substitution is vectorized and
-# each surviving candidate is Newton-polished and verified on the raw
-# gradient.  The pencil is large (~2800), so this lives in the slow tier.
-
-
-def _poly_to_grid(p: Polynomial, variables: tuple[str, ...]) -> np.ndarray:
-    shape = []
-    index = []
-    for v in variables:
-        if v in p.vars:
-            i = p.vars.index(v)
-            shape.append(max((e[i] for e in p.terms), default=0) + 1)
-            index.append(i)
-        else:
-            shape.append(1)
-            index.append(None)
-    grid = np.zeros(tuple(shape), dtype=float)
-    for expo, coeff in p.terms.items():
-        key = tuple(expo[i] if i is not None else 0 for i in index)
-        grid[key] = float(coeff)
-    return grid
-
-
-def _prem_coeffs(pc: list[Polynomial], gc: list[Polynomial]) -> list[Polynomial]:
-    """Pseudo-remainder of P by G in the split variable, coefficient lists
-    ascending; G must have degree >= 1."""
-    dg = len(gc) - 1
-    lc = gc[-1]
-    pc = list(pc)
-    while len(pc) - 1 >= dg and len(pc) > 1:
-        dp = len(pc) - 1
-        top = pc[-1]
-        pc = [c * lc for c in pc[:-1]]
-        for i, g in enumerate(gc[:-1]):
-            pc[dp - dg + i] = pc[dp - dg + i] - top * g
-        while pc and pc[-1].is_zero:
-            pc.pop()
-        if not pc:
-            return [Polynomial.zero(lc.vars)]
-    return pc
-
-
-def _res_quadratic(gc: list[Polynomial], rc: list[Polynomial]) -> Polynomial:
-    """Resultant of a quadratic with a linear polynomial (same variable),
-    coefficient lists ascending."""
-    c0, b1, a2 = gc
-    e = rc[0]
-    d = rc[1] if len(rc) > 1 else Polynomial.zero(rc[0].vars)
-    return a2 * e * e - b1 * e * d + c0 * d * d
-
-
-def _strip_factor(h: Polynomial, factor: Polynomial) -> Polynomial:
-    h = h.primitive()
-    if factor.is_constant:
-        return h
-    quotient = h.divexact(factor)
-    while quotient is not None:
-        h = quotient.primitive()
-        quotient = h.divexact(factor)
-    return h
-
-
-def _solve_n7(k: KinematicData) -> list[np.ndarray]:
-    import scipy.linalg
-
-    zvars = ("z3", "z4", "z5", "z6")
-    fs = {a: _cleared_puncture_poly(k, a, zvars) for a in (3, 4, 5, 6)}
-    b3, a3 = _poly_coeffs_in(fs[3], "z6")
-    b4, a4 = _poly_coeffs_in(fs[4], "z6")
-    b5, a5 = _poly_coeffs_in(fs[5], "z6")
-    f6_z6 = _poly_coeffs_in(fs[6], "z6")
-    g1 = a3 * b4 - a4 * b3
-    g2 = a3 * b5 - a5 * b3
-    g3 = Polynomial.zero(("z3", "z4", "z5"))
-    for kk, ck in enumerate(f6_z6):
-        g3 = g3 + ck * (-b3) ** kk * a3 ** (len(f6_z6) - 1 - kk)
-
-    g2_z4 = _poly_coeffs_in(g2, "z4")
-    if len(g2_z4) != 3:
-        raise WrongCountError(24, 0, "seven-point elimination degenerates")
-    r1 = _prem_coeffs(_poly_coeffs_in(g1, "z4"), g2_z4)
-    r2 = _prem_coeffs(_poly_coeffs_in(g3, "z4"), g2_z4)
-    if len(r1) > 2 or len(r2) > 2:
-        raise WrongCountError(24, 0, "pseudo-remainder did not reach degree one")
-    # spurious components of the projection: the pseudo-remainder's leading
-    # coefficient and the puncture-collision lines; stripping them shrinks
-    # the degrees by an order of magnitude and removes structural null
-    # eigenvalues from the pencil
-    z3p = Polynomial.variable("z3")
-    z5p = Polynomial.variable("z5")
-    one = Polynomial.const(1)
-    spurious = [g2_z4[-1].primitive(), z3p, z5p, z3p - one, z5p - one, z3p - z5p]
-
-    def strip_all(h: Polynomial) -> Polynomial:
-        h = h.primitive()
-        changed = True
-        while changed:
-            changed = False
-            for f in spurious:
-                if f.is_constant:
-                    continue
-                q = h.divexact(f)
-                while q is not None:
-                    h = q.primitive()
-                    changed = True
-                    q = h.divexact(f)
-        return h
-
-    h1 = strip_all(_res_quadratic(g2_z4, r1))
-    h2 = strip_all(_res_quadratic(g2_z4, r2))
-    if h2.divexact(h1) is not None or h1.divexact(h2) is not None:
-        raise WrongCountError(24, 0, "eliminated pair shares a component")
-
-    # both orientations: Sylvester in one variable gives eigenvalues of the
-    # other; per eigenvalue, univariate roots of both polynomials provide
-    # seed pairs for a vectorized 2D Newton refinement on (h1, h2), which
-    # repairs the limited accuracy of the eigenproblem and of tangential
-    # crossings
-    poly = np.polynomial.polynomial
-
-    def eigen_pairs(sylvester_var: str, eigen_var: str):
-        c1v = _poly_coeffs_in(h1, sylvester_var)
-        c2v = _poly_coeffs_in(h2, sylvester_var)
-        m1v, m2v = len(c1v) - 1, len(c2v) - 1
-        if m1v < 1 or m2v < 1:
-            return []
-        size = m1v + m2v
-        deg_u = max(
-            max((p.total_degree() for p in c1v), default=0),
-            max((p.total_degree() for p in c2v), default=0),
-        )
-        if deg_u < 1:
-            return []
-        smats = np.zeros((deg_u + 1, size, size), dtype=complex)
-        for row in range(m2v):
-            for kk, p in enumerate(c1v):
-                for power in range(deg_u + 1):
-                    smats[power, row, row + m1v - kk] += float(p.terms.get((power,), 0))
-        for row in range(m1v):
-            for kk, p in enumerate(c2v):
-                for power in range(deg_u + 1):
-                    smats[power, m2v + row, row + m2v - kk] += float(p.terms.get((power,), 0))
-        smats /= np.abs(smats).max()
-        d = deg_u
-        big = size * d
-        a_pencil = np.zeros((big, big), dtype=complex)
-        b_pencil = np.eye(big, dtype=complex)
-        for blk in range(d - 1):
-            a_pencil[blk * size : (blk + 1) * size, (blk + 1) * size : (blk + 2) * size] = np.eye(size)
-        for kpow in range(d):
-            a_pencil[(d - 1) * size :, kpow * size : (kpow + 1) * size] = -smats[kpow]
-        b_pencil[(d - 1) * size :, (d - 1) * size :] = smats[d]
-        eigenvalues = scipy.linalg.eig(a_pencil, b_pencil, right=False)
-        eigs = np.array([u for u in eigenvalues if np.isfinite(u) and abs(u) < 1e9], dtype=complex)
-        if len(eigs) == 0:
-            return []
-        out = []
-        powers = eigs[None, :] ** np.arange(deg_u + 1)[:, None]
-        for cs in (c1v, c2v):
-            rows = np.array(
-                [[float(p.terms.get((power,), 0)) for power in range(deg_u + 1)] for p in cs]
-            )
-            coeff_at = rows @ powers  # ascending sylvester-var coefficients
-            for idx in range(len(eigs)):
-                coeffs = coeff_at[:, idx][::-1]
-                if np.abs(coeffs).max() < 1e-250:
-                    continue
-                for r in np.roots(coeffs):
-                    out.append((r, eigs[idx]))
-        return out
-
-    pairs_z3: list[complex] = []
-    pairs_z5: list[complex] = []
-    for s_var, e_var in (("z3", "z5"), ("z5", "z3")):
-        for s_value, e_value in eigen_pairs(s_var, e_var):
-            if s_var == "z3":
-                pairs_z3.append(s_value)
-                pairs_z5.append(e_value)
-            else:
-                pairs_z3.append(e_value)
-                pairs_z5.append(s_value)
-    if not pairs_z3:
-        raise WrongCountError(24, 0, "eigenvalue linearization failed")
-    x = np.array(pairs_z3)
-    y = np.array(pairs_z5)
-    keep = np.isfinite(x) & np.isfinite(y) & (np.abs(x) < 1e9) & (np.abs(y) < 1e9)
-    x, y = x[keep], y[keep]
-
-    h1_grid = _poly_to_grid(h1, ("z3", "z5"))
-    h2_grid = _poly_to_grid(h2, ("z3", "z5"))
-    h1_grid /= np.abs(h1_grid).max()
-    h2_grid /= np.abs(h2_grid).max()
-    d1x, d1y = poly.polyder(h1_grid, axis=0), poly.polyder(h1_grid, axis=1)
-    d2x, d2y = poly.polyder(h2_grid, axis=0), poly.polyder(h2_grid, axis=1)
+    Chamber pi orders the free punctures inside (0, 1); Newton starts at its
+    barycenter sigma_pi(r) = r/(m+1), and each step halves until every
+    minor keeps its sign.  The potential is strictly concave on the chamber
+    and tends to -inf on its walls, so the iteration converges to the
+    unique maximum."""
+    _, k, c = pot.arrays()
+    m = c.shape[1]
+    perms = np.array(list(permutations(range(m))))
+    sig = np.ones((len(perms), m + 1))  # sigma_2 = 1, then sigma_3..sigma_{n-1}
+    np.put_along_axis(sig[:, 1:], perms, np.arange(1, m + 1) / (m + 1), axis=1)
+    x = np.diff(sig, axis=1)
+    sign = np.sign(k + x @ c.T)
     with np.errstate(all="ignore"):
-        for _ in range(90):
-            f1 = poly.polyval2d(x, y, h1_grid)
-            f2 = poly.polyval2d(x, y, h2_grid)
-            j11 = poly.polyval2d(x, y, d1x)
-            j12 = poly.polyval2d(x, y, d1y)
-            j21 = poly.polyval2d(x, y, d2x)
-            j22 = poly.polyval2d(x, y, d2y)
-            det = j11 * j22 - j12 * j21
-            det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-            dx = (f1 * j22 - f2 * j12) / det
-            dy = (f2 * j11 - f1 * j21) / det
-            step = np.sqrt(np.abs(dx) ** 2 + np.abs(dy) ** 2)
-            damp = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
-            xn, yn = x - dx * damp, y - dy * damp
-            ok = np.isfinite(xn) & np.isfinite(yn)
-            x = np.where(ok, xn, x)
-            y = np.where(ok, yn, y)
-        rel1 = np.abs(poly.polyval2d(x, y, h1_grid)) / np.maximum(
-            poly.polyval2d(np.abs(x), np.abs(y), np.abs(h1_grid)), 1e-300
-        )
-        rel2 = np.abs(poly.polyval2d(x, y, h2_grid)) / np.maximum(
-            poly.polyval2d(np.abs(x), np.abs(y), np.abs(h2_grid)), 1e-300
-        )
-    keep = (rel1 < 1e-6) & (rel2 < 1e-6) & np.isfinite(x) & np.isfinite(y)
-    keep &= (np.abs(x) < 1e9) & (np.abs(y) < 1e9)
-    z3a, z5a = x[keep], y[keep]
+        for _ in range(100):
+            _, g, j = _derivatives(s0, k, c, x)
+            step = _solve(j, -g)
+            lam = np.ones(len(x))
+            for _ in range(60):
+                outside = np.any(np.sign(k + (x + lam[:, None] * step) @ c.T) != sign, axis=1)
+                if not outside.any():
+                    break
+                lam[outside] /= 2
+            x = x + lam[:, None] * step
+            if np.all(np.abs(step) <= 1e-15 * (1 + np.abs(x))):
+                break
+    return x
 
-    # z4 from the quadratic (both branches plus the linear degeneration),
-    # then z6 from the linear relation
-    grids_g2 = [_poly_to_grid(p, ("z3", "z5")) for p in g2_z4]
+
+def _track(pot: ScatteringPotential, s0: np.ndarray, gamma: complex, x: np.ndarray) -> np.ndarray:
+    """Follow the critical points x of gamma*s0 to those of the target
+    weights along s(t) = (1-t) gamma s0 + t s, all paths at once.
+
+    RK4 predictor on the Davidenko equation J dx/dt = -dH/dt, where dH/dt
+    is the gradient taken with the weights s - gamma s0 (the gradient is
+    linear in s); three Newton corrector steps.  A step is accepted when
+    the first correction is small against the nearest minor (the predictor
+    stayed on its path) and the last one has converged; each path sizes its
+    next step from its first correction, which scales as h^5.  Failed
+    paths return nan rows."""
+    s, k, c = pot.arrays()
+    start = gamma * s0
+    ds = s - start
+    x = x.astype(complex)
+    t = np.zeros(len(x))
+    h = np.full(len(x), 0.02)
+    live = np.ones(len(x), dtype=bool)
+    failed = np.zeros(len(x), dtype=bool)
+
+    def velocity(y, tau):
+        p, _, j = _derivatives(start + tau[:, None] * ds, k, c, y)
+        return _solve(j, -(ds / p) @ c)
+
     with np.errstate(all="ignore"):
-        cc, bb, aa = (poly.polyval2d(z3a, z5a, g) for g in grids_g2)
-        disc = np.sqrt(bb * bb - 4 * aa * cc + 0j)
-        z4_options = [
-            (-bb + disc) / (2 * aa),
-            (-bb - disc) / (2 * aa),
-            -cc / np.where(np.abs(bb) < 1e-300, 1, bb),
-        ]
-    grid_a3 = _poly_to_grid(a3, ("z3", "z4", "z5"))
-    grid_b3 = _poly_to_grid(b3, ("z3", "z4", "z5"))
-    out = []
-    for z4a in z4_options:
-        with np.errstate(all="ignore"):
-            a3v = poly.polyval3d(z3a, z4a, z5a, grid_a3)
-            b3v = poly.polyval3d(z3a, z4a, z5a, grid_b3)
-            z6a = -b3v / a3v
-        xs = np.stack([z3a - 1.0, z4a - z3a, z5a - z4a, z6a - z5a], axis=1)
-        ok = np.isfinite(xs).all(axis=1) & (np.abs(xs).max(axis=1) < 1e9)
-        out.append(xs[ok])
-    candidates = np.concatenate(out) if out else np.zeros((0, 4), complex)
-    if not len(candidates):
-        return []
+        for _ in range(_MAX_STEPS):
+            idx = np.flatnonzero(live)
+            if not len(idx):
+                break
+            y, tau = x[idx], t[idx]
+            step = np.minimum(h[idx], 1.0 - tau)
+            hc = step[:, None]
+            k1 = velocity(y, tau)
+            k2 = velocity(y + hc / 2 * k1, tau + step / 2)
+            k3 = velocity(y + hc / 2 * k2, tau + step / 2)
+            k4 = velocity(y + hc * k3, tau + step)
+            y = y + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            target = start + (tau + step)[:, None] * ds
+            corrections = []
+            for _ in range(3):
+                p, g, j = _derivatives(target, k, c, y)
+                d = _solve(j, -g)
+                corrections.append(np.abs(d).max(axis=1))
+                y = y + d
+            scale = 1.0 + np.abs(y).max(axis=1)
+            nearest = np.abs(p).min(axis=1)
+            err = corrections[0] / nearest
+            ok = np.isfinite(y).all(axis=1) & (err < 0.1) & (corrections[-1] < 1e-6 * scale)
+            accepted = idx[ok]
+            x[accepted] = y[ok]
+            t[accepted] = np.where(step[ok] >= 1.0 - tau[ok], 1.0, tau[ok] + step[ok])
+            grow = np.where(np.isfinite(err), np.clip(0.9 * (_ETA / err) ** 0.2, 0.25, 3.0), 0.25)
+            h[idx] = np.where(ok, np.minimum(step * grow, _MAX_STEP), step * np.minimum(grow, 0.5))
+            # a path running off to infinity or into a boundary divisor ends
+            # on no critical point that the solver could verify
+            failed[idx[ok & ((scale > _FAR) | (nearest < _NEAR * scale))]] = True
+            live &= (t < 1.0) & (h >= _MIN_STEP) & ~failed
+    x[(t < 1.0) | failed] = np.nan
+    return x
 
-    # vectorized raw-gradient pre-filter before the expensive polish
-    pot = scattering_potential(k)
-    s, kk_, c = pot.arrays()
-    with np.errstate(all="ignore"):
-        p = kk_ + candidates @ c.T
-        ps = np.where(np.abs(p) < 1e-300, 1e-300, p)
-        res = np.abs((s / ps) @ c).max(axis=1)
-    res = np.where(np.isfinite(res), res, np.inf)
-    order = np.argsort(res)
-    survivors = [candidates[i] for i in order if res[i] < 1e-1][:4000]
-    return survivors
+
+def _homotopy(pot: ScatteringPotential, rng: np.random.Generator):
+    """Endpoints of the chamber paths, tracked once per fresh gamma; a jumped
+    or failed path under one gamma is repaired by the union with the next."""
+    s = pot.arrays()[0]
+    s0 = rng.uniform(0.5, 1.5, len(s)) * max(float(np.abs(s).mean()), 1e-300)
+    starts = _chamber_maxima(pot, s0)
+    for _ in range(_GAMMAS):
+        yield _track(pot, s0, cmath.exp(2j * math.pi * rng.random()), starts)
 
 
-def solve_scattering(
-    k: KinematicData,
-    tol: float = 1e-12,
-    seed: int = 0,
-    starts_per_root: int = 50,
-    max_sweeps: int = 3,
-) -> list[CriticalPoint]:
+def solve_scattering(k: KinematicData, tol: float = 1e-12, seed: int = 0) -> list[CriticalPoint]:
     """All (n-3)! critical points, each re-verified to residual < tol.
 
-    Four points solve linearly and five in closed form; six and beyond run
-    multistart Newton with deduplication at 1e-9, deflation of found roots,
-    conjugate completion (real kinematics), and a sweep over all cyclic
-    relabeling gauges.  Raises WrongCountError when the verified root count
-    is off (degenerate kinematics near the logarithmic discriminant, or
-    exhausted budget) and when two roots approach within 1e-6.
+    Four points solve linearly and five in closed form.  Six and beyond
+    track one homotopy path from each bounded chamber of a positive start
+    system; seed selects the start weights s0 and the phases gamma, drawn
+    from np.random.default_rng(seed), and a short count is re-tracked with
+    up to two fresh gammas.  Endpoints are polished, verified on the raw
+    gradient, deduplicated at 1e-9 and completed by complex conjugation.
+    Raises WrongCountError when the verified root count is off (degenerate
+    kinematics near the logarithmic discriminant, or lost paths) and when
+    two roots approach within 1e-6.
     """
-    from .kinematics import cyclic_relabel
-
     pot = scattering_potential(k)
-    n = k.n
-    m = n - 3
-    expected = math.factorial(m)
-    real_kinematics = all(v.denominator > 0 for row in k.s for v in row)  # exact data is real
+    expected = math.factorial(k.n - 3)
     roots: list[np.ndarray] = []
 
     def try_add(cand: np.ndarray):
         if not np.all(np.isfinite(cand)):
             return
         cand = _newton_polish(pot, np.asarray(cand, dtype=complex), iterations=30)
-        if _raw_residual(pot, cand) >= tol or np.abs(cand).max() > 1e8:
+        if _raw_residual(pot, cand) >= tol or np.abs(cand).max() > _FAR:
             return
-        if real_kinematics and 0 < np.abs(cand.imag).max() < 1e-4 * (1 + np.abs(cand.real).max()):
-            # real kinematics: a root this close to the real axis is real,
-            # and real-projected Newton stays exactly real
+        if 0 < np.abs(cand.imag).max() < 1e-4 * (1 + np.abs(cand.real).max()):
+            # kinematics are real: a root this close to the real axis is
+            # real, and real-projected Newton stays exactly real
             projected = _newton_polish(pot, cand.real.astype(complex), iterations=30)
             if _raw_residual(pot, projected) < tol:
                 cand = projected
-        options = (cand, cand.conj()) if real_kinematics else (cand,)
-        for cc in options:
+        for cc in (cand, cand.conj()):
             if _raw_residual(pot, cc) < tol and all(_root_distance(cc, r) > 1e-9 for r in roots):
                 roots.append(cc.copy())
 
-    if n == 4:
-        for cand in _solve_n4(k):
-            try_add(cand)
-    elif n == 5:
-        for cand in _solve_n5(k):
-            try_add(cand)
+    if k.n == 4:
+        batches = [_solve_n4(k)]
+    elif k.n == 5:
+        batches = [_solve_n5(k)]
     else:
-        if n == 6:
-            for elim, hidden in _n6_configurations():
-                for cand in _solve_n6_config(k, elim, hidden):
-                    try_add(cand)
-                if len(roots) >= expected:
-                    break
-        elif n == 7:
-            # roots hiding near the pinned punctures of one chart sit at
-            # moderate coordinates in another, so the elimination sweeps the
-            # cyclic relabeling gauges like the multistart fallback does
-            for shift in range(n):
-                if len(roots) >= expected:
-                    break
-                shifted = cyclic_relabel(k, shift) if shift else k
-                to_original, _ = _gauge_maps(shift, n)
-                try:
-                    shifted_candidates = _solve_n7(shifted)
-                except WrongCountError:
-                    continue
-                for cand in shifted_candidates:
-                    try:
-                        try_add(to_original(cand) if shift else cand)
-                    except ArithmeticError:
-                        continue
-        if len(roots) < expected:
-            gauge_pots = {0: pot}
-            rng = np.random.default_rng(seed)
-            budget = starts_per_root * expected
-            for sweep in range(max_sweeps):
-                for shift in range(n):
-                    if len(roots) >= expected:
-                        break
-                    if shift not in gauge_pots:
-                        gauge_pots[shift] = scattering_potential(cyclic_relabel(k, shift))
-                    gpot = gauge_pots[shift]
-                    to_original, from_original = _gauge_maps(shift, n)
-                    known = []
-                    for r in roots:
-                        try:
-                            image = from_original(r)
-                        except ArithmeticError:
-                            continue
-                        if np.all(np.isfinite(image)):
-                            known.append(image)
-                    ends = _batched_newton(gpot, _mixed_starts(rng, budget, m), known)
-                    for e in ends:
-                        if _raw_residual(gpot, e) < 1e-6:
-                            try:
-                                try_add(to_original(e))
-                            except ArithmeticError:
-                                continue
-                if len(roots) >= expected:
-                    break
+        batches = _homotopy(pot, np.random.default_rng(seed))
+    for batch in batches:
+        for cand in batch:
+            try_add(cand)
+        if len(roots) >= expected:
+            break
 
     roots.sort(key=_sort_key)
     for p in range(len(roots)):

@@ -7,6 +7,10 @@ import pytest
 
 from posgeom.chy import (
     WrongCountError,
+    _homotopy,
+    _root_distance,
+    _solve_n4,
+    _solve_n5,
     chy_amplitude,
     minors,
     moduli_coordinates,
@@ -128,12 +132,45 @@ def test_sign_convention_regression():
         assert abs((-1) ** (n - 3) * raw - tree) / abs(tree) < 1e-9
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_seven_point_slow_tier(seed):
+def test_seven_point(seed):
     k = sample_kinematics(7, seed)
     pts = solve_scattering(k, tol=1e-9, seed=seed)
     assert len(pts) == 24
     value = chy_amplitude(k, pts)
     tree = float(tree_amplitude(k))
     assert abs(value - tree) / abs(tree) < 1e-9
+
+
+def _tracked_roots(k, seed):
+    """Endpoints of the first gamma's homotopy paths, unpolished."""
+    pot = scattering_potential(k)
+    return pot, next(_homotopy(pot, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("n,closed_form", [(4, _solve_n4), (5, _solve_n5)])
+def test_homotopy_endpoints_match_closed_forms(n, closed_form):
+    for seed in range(20):
+        k = sample_kinematics(n, seed)
+        _, ends = _tracked_roots(k, seed)
+        exact = closed_form(k)
+        assert len(ends) == len(exact)
+        for root in exact:
+            assert min(_root_distance(root, e) for e in ends) < 1e-10
+        for end in ends:
+            assert min(_root_distance(end, r) for r in exact) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_homotopy_reaches_every_eight_point_root(seed):
+    # path completeness apart from the residual acceptance: every chamber's
+    # path ends on its own critical point, and together they give the tree
+    k = sample_kinematics(8, seed)
+    pot, ends = _tracked_roots(k, seed)
+    assert len(ends) == 120 and all(np.all(np.isfinite(e)) for e in ends)
+    for a in range(len(ends)):
+        for b in range(a + 1, len(ends)):
+            assert _root_distance(ends[a], ends[b]) > 1e-9
+    raw = sum(1.0 / np.linalg.det(pot.theta_hessian(e)) for e in ends)
+    tree = float(tree_amplitude(k))
+    assert abs((-1) ** (8 - 3) * raw - tree) / abs(tree) < 1e-9
