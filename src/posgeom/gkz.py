@@ -29,7 +29,7 @@ import numpy as np
 
 from .exact import Polynomial, solve_linear
 from .kinematics import KinematicData, planar_variables
-from .quadrature import QuadConfig, adaptive_quad
+from .quadrature import QuadConfig, _lane_quad, adaptive_quad
 from .trees import tree_amplitude
 
 Expo = Fraction | Polynomial  # exponents may carry symbolic parameters
@@ -274,7 +274,12 @@ def evaluate_euler(
     """Integral over the positive orthant at numeric coefficients c > 0.
 
     Substitutes alpha_a = v_a^(1/nu_a) then v = t/(1-t) per variable and
-    integrates the transformed integrand by nested adaptive quadrature.
+    integrates the transformed integrand by nested adaptive quadrature.  The
+    outermost variable goes through adaptive_quad; each integrand call of a
+    level integrates the next variable in one lane-batched quadrature, one
+    lane per abscissa, with the outer Jacobians folded into the lane values
+    so that the lanes' shared absolute tolerance is in units of the outer
+    integrand.
     """
     params = dict(params or {})
     c = [float(v) for v in c]
@@ -321,61 +326,28 @@ def evaluate_euler(
             total = total * form_val**s_k
         return total
 
-    from .quadrature import _XG21, _WG21
-
-    def crude_scale(level: int, fixed: list[float]) -> float:
-        """Fixed 21-node tensor estimate of the inner integral's magnitude,
-        used only to budget absolute tolerances for nested calls."""
-        with np.errstate(all="ignore"):
-            t = 0.5 + 0.5 * _XG21
-            u = t / (1.0 - t)
-            alpha = (u ** ps[level]) ** inv_nu[level]
-            jac = ps[level] * u ** (ps[level] - 1.0) / (1.0 - t) ** 2
-            if level == f.nvars - 1:
-                alphas = [np.full_like(t, x) for x in fixed] + [alpha]
-                vals = integrand(alphas) * jac
-            else:
-                vals = np.array([crude_scale(level + 1, fixed + [a]) for a in alpha]) * jac
-            vals = np.where(np.isfinite(vals), vals, 0.0)
-            return float(np.abs(0.5 * (vals * _WG21)).sum())
-
-    scale = max(crude_scale(0, []), 1e-280)
-
-    def nested(level: int, fixed: list[np.ndarray]):
+    def level_values(level: int, t: np.ndarray, fixed: list[np.ndarray], outer_jac: np.ndarray):
+        """Integrand of variable `level` at abscissae t, integrated over the
+        inner variables and times the outer Jacobians; fixed holds the outer
+        alphas, aligned with t."""
         p = ps[level]
-
-        def g(t: np.ndarray) -> np.ndarray:
-            with np.errstate(all="ignore"):
-                u = t / (1.0 - t)
-                v = u**p
-                alpha = v ** inv_nu[level]
-                jac = p * u ** (p - 1.0) / (1.0 - t) ** 2
+        with np.errstate(all="ignore"):
+            u = t / (1.0 - t)
+            alpha = (u**p) ** inv_nu[level]
+            jac = outer_jac * p * u ** (p - 1.0) / (1.0 - t) ** 2
             if level == f.nvars - 1:
-                with np.errstate(all="ignore"):
-                    alphas = [np.full_like(t, x) for x in fixed] + [alpha]
-                    out = integrand(alphas) * jac
-            else:
-                vals = np.empty_like(t)
-                for idx in range(len(t)):
-                    # an inner error of delta enters the outer integrand as
-                    # delta * jac, so the absolute budget shrinks with jac
-                    budget = max(
-                        quad.abs_tol,
-                        0.01 * quad.rel_tol * scale / max(1.0, float(jac[idx])),
-                    )
-                    cfg = QuadConfig(quad.rel_tol, budget, quad.max_depth, quad.max_intervals)
-                    vals[idx] = adaptive_quad(
-                        nested(level + 1, fixed + [alpha[idx]]), 0.0, 1.0, cfg
-                    )
-                with np.errstate(all="ignore"):
-                    out = vals * jac
-            # the integrand tends to zero at both endpoints; rounding can
-            # evaluate it at t == 1 exactly, producing 0 * inf
-            return np.where(np.isfinite(out), out, 0.0)
+                out = integrand(fixed + [alpha]) * jac
+                # the integrand tends to zero at both endpoints; rounding can
+                # evaluate it at t == 1 exactly, producing 0 * inf
+                return np.where(np.isfinite(out), out, 0.0)
+        # one lane per abscissa, its alphas and Jacobians gathered by lane index
+        alphas = fixed + [alpha]
+        return _lane_quad(
+            lambda x, lane: level_values(level + 1, x, [a[lane] for a in alphas], jac[lane]),
+            len(t), 0.0, 1.0, quad,
+        )
 
-        return g
-
-    return jacobian * adaptive_quad(nested(0, []), 0.0, 1.0, quad)
+    return jacobian * adaptive_quad(lambda t: level_values(0, t, [], np.ones_like(t)), 0.0, 1.0, quad)
 
 
 def apply_finite_difference(

@@ -18,7 +18,7 @@ from posgeom.gkz import (
     string_limit,
 )
 from posgeom.kinematics import kinematics_from_planar, polygon_diagonals
-from posgeom.quadrature import QuadConfig
+from posgeom.quadrature import QuadConfig, QuadratureError
 
 BLUEPRINT = blueprint_integrand()
 OPS = gkz_operators(BLUEPRINT)
@@ -66,10 +66,28 @@ def test_dirichlet_closed_forms():
         ((F(1), F(1)), 3, 0.5),
         ((F(1, 2), F(1, 2)), 2, math.pi),
         ((F(3, 2), F(3, 2)), 4, math.gamma(1.5) ** 2 / 6),
+        ((F(1), F(1)), F(9, 4), math.gamma(0.25) / math.gamma(2.25)),
     ]
     for nu, s, expected in cases:
         f = EulerIntegrand(2, (LinearForm(((1, 0), (0, 1), (0, 0)), (1, 2, 3), F(-s)),), nu)
         assert evaluate_euler(f, [1.0, 1.0, 1.0]) == pytest.approx(expected, rel=1e-8)
+
+
+def test_near_divergent_dirichlet_is_accurate_or_raises():
+    # margin s - nu1 - nu2 = 1/4 with large nu: a wrong value must not pass silently
+    f = EulerIntegrand(2, (LinearForm(((1, 0), (0, 1), (0, 0)), (1, 2, 3), F(-15, 4)),), (F(7, 4), F(7, 4)))
+    expected = math.gamma(1.75) ** 2 * math.gamma(0.25) / math.gamma(3.75)
+    try:
+        value = evaluate_euler(f, [1.0, 1.0, 1.0])
+    except QuadratureError:
+        return
+    assert value == pytest.approx(expected, rel=1e-6)
+
+
+def test_three_variable_dirichlet():
+    form = LinearForm(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, 2, 3, 4), F(-5))
+    f = EulerIntegrand(3, (form,), (F(1), F(1), F(1)))
+    assert evaluate_euler(f, [1.0] * 4) == pytest.approx(1 / 24, rel=1e-8)
 
 
 def test_blueprint_diverges_at_top_of_range():
@@ -164,7 +182,6 @@ def test_string_limit_no_fifth_puncture_factor():
     assert f.nvars == 2
 
 
-@pytest.mark.slow
 def test_string_limit_self_convergence():
     k = moderate_positive_kinematics(1)
     a = string_limit(k, (0.1,), QuadConfig(rel_tol=1e-8))
