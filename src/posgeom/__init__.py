@@ -38,7 +38,6 @@ from .exact import (
     RationalFunction,
     det,
     matrix_rank,
-    rf_arith,
     rf_equal,
     solve_linear,
 )

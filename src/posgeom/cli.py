@@ -48,6 +48,10 @@ class ValidationError(ValueError):
     pass
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_json(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
@@ -55,11 +59,13 @@ def _load_json(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        data = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except (UnicodeDecodeError, ValueError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and set(data) == {"manifest", "result"}:
         data = data["result"]  # accept documents produced by this tool
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
     return data, hashlib.sha256(raw).hexdigest()
 
 
@@ -70,15 +76,27 @@ def _fraction(value, where: str) -> Fraction:
         raise ValidationError(f"{where}: {value!r} is not a rational") from exc
 
 
+def _vector(value, where: str) -> tuple[Fraction, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list of rationals")
+    return tuple(_fraction(v, where) for v in value)
+
+
+def _vectors(value, where: str) -> tuple[tuple[Fraction, ...], ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list of lists")
+    return tuple(_vector(v, where) for v in value)
+
+
 def _load_kinematics(path: str):
     data, digest = _load_json(path)
-    if not isinstance(data, dict) or "n" not in data or "s" not in data:
+    if "n" not in data or "s" not in data:
         raise ValidationError(f"{path}: kinematics JSON needs keys 'n' and 's'")
     n = data["n"]
     if not isinstance(n, int) or n < 4:
         raise ValidationError(f"{path}: 'n' must be an integer >= 4")
     matrix = data["s"]
-    if not isinstance(matrix, list) or len(matrix) != n or any(len(r) != n for r in matrix):
+    if not isinstance(matrix, list) or len(matrix) != n or any(not isinstance(r, list) or len(r) != n for r in matrix):
         raise ValidationError(f"{path}: 's' must be an {n} x {n} matrix")
     rows = tuple(tuple(_fraction(v, f"{path} s[{i}][{j}]") for j, v in enumerate(r)) for i, r in enumerate(matrix))
     try:
@@ -91,7 +109,7 @@ def _load_zmatrix(path: str):
     data, digest = _load_json(path)
     if "rows" not in data:
         raise ValidationError(f"{path}: Z JSON needs key 'rows'")
-    rows = tuple(tuple(_fraction(v, f"{path} rows") for v in r) for r in data["rows"])
+    rows = _vectors(data["rows"], f"{path} rows")
     try:
         return ZMatrix(rows), digest
     except ValueError as exc:
@@ -101,13 +119,13 @@ def _load_zmatrix(path: str):
 def _load_line(path: str):
     data, digest = _load_json(path)
     if "A" in data and "B" in data:
-        a = tuple(_fraction(v, f"{path} A") for v in data["A"])
-        b = tuple(_fraction(v, f"{path} B") for v in data["B"])
+        a = _vector(data["A"], f"{path} A")
+        b = _vector(data["B"], f"{path} B")
         if len(a) != 4 or len(b) != 4:
             raise ValidationError(f"{path}: points must have 4 coordinates")
         return (a, b), digest
     if "p" in data:
-        p = tuple(_fraction(v, f"{path} p") for v in data["p"])
+        p = _vector(data["p"], f"{path} p")
         if len(p) != 6:
             raise ValidationError(f"{path}: 'p' must have 6 entries")
         try:
@@ -136,10 +154,10 @@ def _exponent(spec):
     if isinstance(spec, dict):
         poly = Polynomial.const(0)
         for name, coeff in spec.items():
-            c = Fraction(str(coeff))
+            c = _fraction(coeff, f"exponent {name}")
             poly = poly + (c if name == "const" else Polynomial.variable(name) * c)
         return poly
-    return Fraction(str(spec))
+    return _fraction(spec, "exponent")
 
 
 def _jsonify(value):
@@ -215,7 +233,7 @@ def cmd_canonical_form(args, inputs):
     inputs["polytope"] = digest
     try:
         poly = Polytope.from_dict(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{args.polytope}: {exc}") from exc
     num, den = canonical_parts(poly)
     return {
@@ -258,6 +276,8 @@ def cmd_dihedral(args, inputs):
             ],
             "all_passed": report.all_passed,
         }
+    if args.kinematics is None:
+        raise ValidationError("--check scattering needs --kinematics")
     k, digest = _load_kinematics(args.kinematics)
     inputs["kinematics"] = digest
     points = solve_scattering(k, tol=args.tol, seed=args.seed)
@@ -304,12 +324,12 @@ def cmd_gkz(args, inputs):
         "toric_operators": [str(op) for op in ops["toric"]],
     }
     if args.evaluate is not None:
-        c = [float(Fraction(v)) for v in args.evaluate.split(",")]
+        c = [float(_fraction(v, "--evaluate")) for v in args.evaluate.split(",")]
         params = {}
         if args.params:
             for item in args.params.split(","):
                 name, _, val = item.partition("=")
-                params[name.strip()] = float(Fraction(val))
+                params[name.strip()] = float(_fraction(val, "--params"))
         out["value"] = evaluate_euler(integrand, c, params)
     return out
 
@@ -317,7 +337,7 @@ def cmd_gkz(args, inputs):
 def cmd_string_limit(args, inputs):
     k, digest = _load_kinematics(args.kinematics)
     inputs["kinematics"] = digest
-    eps = tuple(float(Fraction(v)) for v in args.eps.split(","))
+    eps = tuple(float(_fraction(v, "--eps")) for v in args.eps.split(","))
     result = string_limit(k, eps)
     return {
         "epsilons": list(result.epsilons),
@@ -332,8 +352,7 @@ def cmd_signature(args, inputs):
     data, digest = _load_json(args.path)
     inputs["path"] = digest
     try:
-        points = [[_fraction(v, "path point") for v in p] for p in data["points"]]
-        path = PiecewiseLinearPath.from_points(points)
+        path = PiecewiseLinearPath.from_points(_vectors(data["points"], "path points"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{args.path}: {exc}") from exc
     stack = signature(path, args.level)

@@ -1,6 +1,6 @@
 """Exact arithmetic layer: sparse multivariate polynomials over the
 rationals, rational functions, dense tensors, and fraction-free linear
-solving.
+algebra.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator).  A polynomial stores a name-sorted variable tuple
@@ -10,6 +10,12 @@ leading coefficients).  A rational function is a pair of polynomials
 normalized to coprime integer content with positive leading denominator
 coefficient.  Equality of rational functions is decided by exact
 cross-multiplication, so full multivariate gcd reduction is never needed.
+
+Linear algebra scales each rational row to integers by the lcm of its
+denominators and runs one fraction-free (Bareiss) elimination, which
+serves the determinant, the rank and the solver alike: every intermediate
+entry is a minor of the scaled input, so no rational arithmetic happens
+until back-substitution (Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -236,14 +242,8 @@ class Polynomial:
     # -------------------------------------------------------- normalization
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators over lcm of denominators."""
-        if self.is_zero:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        ints, l = _integer_row(self.terms.values())
+        return Fraction(math.gcd(*ints), l)
 
     def primitive(self) -> "Polynomial":
         c = self.content()
@@ -353,19 +353,11 @@ class RationalFunction:
 
     @staticmethod
     def _normalize_content(num: Polynomial, den: Polynomial):
-        den_lcm = 1
-        for p in (num, den):
-            for c in p.terms.values():
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        num = num * den_lcm
-        den = den * den_lcm
-        g = math.gcd(int(num.content()) if not num.is_zero else 0, int(den.content()))
-        if g > 1:
-            num = num * Fraction(1, g)
-            den = den * Fraction(1, g)
+        ints, l = _integer_row([*num.terms.values(), *den.terms.values()])
+        factor = Fraction(l, math.gcd(*ints))
         if den.leading_coefficient() < 0:
-            num, den = -num, -den
-        return num, den
+            factor = -factor
+        return num * factor, den * factor
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -467,19 +459,6 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Exact rational-function arithmetic: op in {'add','sub','mul','div'}."""
-    table = {
-        "add": RationalFunction.__add__,
-        "sub": RationalFunction.__sub__,
-        "mul": RationalFunction.__mul__,
-        "div": RationalFunction.__truediv__,
-    }
-    if op not in table:
-        raise ValueError(f"unknown op {op!r}")
-    return table[op](a, b)
-
-
 def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
     return a.equivalent(b)
 
@@ -489,56 +468,68 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
 # --------------------------------------------------------------------------
 
 
+def _integer_row(values: Iterable) -> tuple[list[int], int]:
+    """The rationals times l, the lcm of their denominators, as integers."""
+    vals = [Fraction(v) for v in values]
+    l = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (l // v.denominator) for v in vals], l
+
+
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Each step pivots on the first nonzero entry at or below the current row
+    among the first ncols columns, skips a column without one, and updates
+    every entry of the rows below, columns past ncols (a right-hand side)
+    included.  The division by the previous pivot is exact.  Returns the
+    pivot columns (pivot k sits in row k) and the sign of the row swaps.
+    """
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pivot = top[c]
+        for row in rows[r + 1 :]:
+            f = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = pivot
+        pivots.append(c)
+    return pivots, sign
+
+
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    den_scale = Fraction(1)
     m: list[list[int]] = []
+    den_scale = 1
     for row in rows:
-        vals = [Fraction(x) for x in row]
-        l = 1
-        for v in vals:
-            l = l * v.denominator // math.gcd(l, v.denominator)
+        ints, l = _integer_row(row)
+        m.append(ints)
         den_scale *= l
-        m.append([int(v * l) for v in vals])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / den_scale if n else Fraction(1)
+    pivots, sign = _echelon(m, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[n - 1][n - 1], den_scale) if n else Fraction(1)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over the rationals."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        p = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[rank], m[p] = m[p], m[rank]
-        for i in range(rank + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / m[rank][c]
-                for j in range(c, ncols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-    return rank
+    m = [_integer_row(row)[0] for row in rows]
+    return len(_echelon(m, len(m[0]) if m else 0)[0])
 
 
 @dataclass(frozen=True)
@@ -556,13 +547,8 @@ class LinearSolution:
 
 
 def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    l = 1
-    for v in vec:
-        l = l * v.denominator // math.gcd(l, v.denominator)
-    ints = [int(v * l) for v in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    ints, _ = _integer_row(vec)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     for x in ints:
@@ -586,44 +572,18 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence | None = None) -> Lin
         rhs = [0] * nrows
     if len(rhs) != nrows:
         raise ValueError("right-hand side length mismatch")
-    rows: list[list[int]] = []
-    for r, b in zip(matrix, rhs):
-        vals = [Fraction(x) for x in r] + [Fraction(b)]
-        l = 1
-        for v in vals:
-            l = l * v.denominator // math.gcd(l, v.denominator)
-        rows.append([int(v * l) for v in vals])
+    rows = [_integer_row([*r, b])[0] for r, b in zip(matrix, rhs)]
+    pivots, _ = _echelon(rows, ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots) :]):
+        return LinearSolution("inconsistent", None, ())
 
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols + 1):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return LinearSolution("inconsistent", None, ())
-
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    free_cols = [c for c in range(ncols) if c not in pivots]
 
     def back_substitute(free_values: dict[int, Fraction], rhs_col: bool) -> list[Fraction]:
         x = [Fraction(0)] * ncols
         for c, v in free_values.items():
             x[c] = v
-        for (i, c) in reversed(pivots):
+        for i, c in reversed(list(enumerate(pivots))):
             acc = Fraction(rows[i][ncols]) if rhs_col else Fraction(0)
             for j in range(c + 1, ncols):
                 if rows[i][j] != 0:

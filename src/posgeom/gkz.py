@@ -175,9 +175,8 @@ def gkz_operators(f: EulerIntegrand) -> dict[str, list[DifferentialOperator]]:
             col[form_idx] = 1
             columns.append(col)
     amatrix = [[columns[j][r] for j in range(ncoeffs)] for r in range(len(f.forms) + f.nvars)]
-    sol = solve_linear(amatrix)
     toric = []
-    for vec in sol.kernel if sol.status == "kernel" else ():
+    for vec in solve_linear(amatrix).kernel:
         plus = tuple(max(v, 0) for v in vec)
         minus = tuple(max(-v, 0) for v in vec)
         toric.append(

@@ -196,7 +196,7 @@ def cone_facets(z: ZMatrix) -> list[Vector]:
     for subset in combinations(range(1, z.n + 1), 3):
         rows = [list(z.row(i)) for i in subset]
         sol = solve_linear(rows)
-        if sol.status != "kernel" or len(sol.kernel) != 1:
+        if len(sol.kernel) != 1:
             continue
         normal = sol.kernel[0]
         sides = [sum(Fraction(nv) * rv for nv, rv in zip(normal, z.row(i))) for i in range(1, z.n + 1)]
@@ -235,10 +235,7 @@ def stabs(line, z: ZMatrix) -> bool:
     # zero interior to a triangle of normals
     for trio in combinations(constraints, 3):
         m = [[trio[0][0], trio[1][0], trio[2][0]], [trio[0][1], trio[1][1], trio[2][1]]]
-        sol = solve_linear(m)
-        if sol.status != "kernel":
-            continue
-        for vec in sol.kernel:
+        for vec in solve_linear(m).kernel:
             vals = [Fraction(v) for v in vec]
             if all(v > 0 for v in vals) or all(v < 0 for v in vals):
                 return False
@@ -252,7 +249,7 @@ def stabs(line, z: ZMatrix) -> bool:
 
 def _plane_normal(points: Sequence[Vector]) -> Vector:
     sol = solve_linear([list(p) for p in points])
-    if sol.status != "kernel" or len(sol.kernel) != 1:
+    if len(sol.kernel) != 1:
         raise ValueError("points do not span a plane")
     return tuple(Fraction(v) for v in sol.kernel[0])
 
@@ -263,7 +260,7 @@ def special_line(i: int, z: ZMatrix) -> PlueckerLine:
     n1 = _plane_normal([z.row(i), z.row(i + 1), z.row(i + 2)])
     n2 = _plane_normal([z.row(i), z.row(i + 3), z.row(i + 4)])
     sol = solve_linear([list(n1), list(n2)])
-    if sol.status != "kernel" or len(sol.kernel) != 2:
+    if len(sol.kernel) != 2:
         raise ValueError("planes do not intersect in a line")
     v1, v2 = sol.kernel
     return PlueckerLine.from_points(_fracvec(v1), _fracvec(v2))
@@ -285,7 +282,7 @@ def adjoint_interpolation(z: ZMatrix) -> tuple[int, ...]:
         raise ValueError("adjoint interpolation is set up for n = 5")
     rows = [list(special_line(i, z).p) for i in range(1, 6)]
     sol = solve_linear(rows)
-    if sol.status != "kernel" or len(sol.kernel) != 1:
+    if len(sol.kernel) != 1:
         raise ValueError("interpolation kernel is not one-dimensional (non-generic Z)")
     coeffs = list(sol.kernel[0])
     if coeffs[-1] < 0:

@@ -44,19 +44,6 @@ def _fracvec(v: Sequence) -> Vector:
     return tuple(Fraction(x) for x in v)
 
 
-def _primitive_facet(a: Vector, b: Fraction) -> Facet:
-    l = 1
-    for v in (*a, b):
-        l = l * v.denominator // math.gcd(l, v.denominator)
-    ints = [int(v * l) for v in (*a, b)]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
-
-
 def _dot(a: Sequence, x: Sequence) -> Fraction:
     return sum((u * v for u, v in zip(a, x)), Fraction(0))
 
@@ -85,17 +72,15 @@ class Polytope:
         facets: set[Facet] = set()
         for subset in combinations(points, d):
             sol = solve_linear([list(p) + [-1] for p in subset])
-            if sol.status != "kernel" or len(sol.kernel) != 1:
+            if len(sol.kernel) != 1:
                 continue
             cand = sol.kernel[0]
             a, b = _fracvec(cand[:d]), Fraction(cand[d])
-            if all(v == 0 for v in a):
-                continue
             sides = {_dot(a, p) - b for p in points}
             if all(s <= 0 for s in sides):
-                facets.add(_primitive_facet(a, b))
+                facets.add((a, b))
             elif all(s >= 0 for s in sides):
-                facets.add(_primitive_facet(tuple(-v for v in a), -b))
+                facets.add((tuple(-v for v in a), -b))
 
         facet_list = tuple(sorted(facets))
         vertices = []
@@ -118,12 +103,10 @@ class Polytope:
             # recession cone must be trivial: any extreme recession ray is
             # tight on d-1 normals, so subset enumeration certifies boundedness
             for subset in combinations([a for a, _ in hs], d - 1):
-                sol = solve_linear([list(a) for a in subset]) if subset else None
-                dirs = sol.kernel if sol is not None else ()
-                for v in dirs:
+                for v in solve_linear([list(a) for a in subset]).kernel:
                     for sgn in (1, -1):
-                        ray = [sgn * Fraction(x) for x in v]
-                        if any(x != 0 for x in ray) and all(_dot(a, ray) <= 0 for a, _ in hs):
+                        ray = [sgn * x for x in v]
+                        if all(_dot(a, ray) <= 0 for a, _ in hs):
                             raise ValueError("halfspace intersection is unbounded")
         verts: set[Vector] = set()
         for subset in combinations(hs, d):

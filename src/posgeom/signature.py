@@ -37,7 +37,7 @@ class PiecewiseLinearPath:
     @classmethod
     def from_points(cls, points: Sequence[Sequence]) -> "PiecewiseLinearPath":
         pts = tuple(tuple(Fraction(x) for x in p) for p in points)
-        return cls(len(pts[0]), pts)
+        return cls(len(pts[0]) if pts else 0, pts)
 
     def increments(self) -> list[tuple[Fraction, ...]]:
         return [

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from posgeom.cli import main
+from posgeom.kinematics import sample_kinematics
 
 
 def run_cli(*args, cwd=None):
@@ -9,9 +17,21 @@ def run_cli(*args, cwd=None):
     )
 
 
+def run_main(*args):
+    """Run the CLI in-process; return the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, err.getvalue()
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+Z_ROWS = {"rows": [[1, i, i * i, i**3] for i in range(1, 6)]}
+LINE = {"A": ["1", "0", "0", "0"], "B": ["0", "1", "0", "0"]}
 
 
 def kinematics_file(tmp_path, seed=7, abhy=True):
@@ -74,6 +94,25 @@ def test_validation_exit_code(tmp_path):
     out = run_cli("amplitude", "--kinematics", notsym)
     assert out.returncode == 2
 
+    lfile = write_json(tmp_path / "line.json", LINE)
+    kfile = write_json(tmp_path / "k.json", {"n": 5, "s": [1, 2, 3, 4, 5]})
+    five_point = write_json(tmp_path / "k5.json", sample_kinematics(5, 0).to_dict())
+    cases = [
+        ("amplitude", "--kinematics", kfile),
+        ("stabs", "--Z", write_json(tmp_path / "z5.json", {"rows": 5}), "--line", lfile),
+        ("adjoint-gr24", "--Z", write_json(tmp_path / "five.json", 5)),
+        ("canonical-form", "--polytope", write_json(tmp_path / "list.json", [1, 2])),
+        ("signature", "--path", write_json(tmp_path / "empty.json", {"points": []})),
+        ("dihedral", "--check", "scattering"),
+        ("string-limit", "--kinematics", five_point, "--eps", "1/0"),
+        # NaN and Infinity are not JSON numbers
+        ("canonical-form", "--polytope", write_json(tmp_path / "inf.json", {"V": [[float("inf"), 0]]})),
+    ]
+    for args in cases:
+        code, err = run_main(*args)
+        assert code == 2, (args, err)
+        assert "validation error" in err, (args, err)
+
 
 def test_numerical_exit_code_on_pole(tmp_path):
     # planar variable X13 = s12 vanishes: the amplitude has a pole there
@@ -94,12 +133,12 @@ def test_numerical_exit_code_on_pole(tmp_path):
 
 
 def test_adjoint_and_membership_files(tmp_path):
-    zfile = write_json(tmp_path / "z.json", {"rows": [[1, i, i * i, i**3] for i in range(1, 6)]})
+    zfile = write_json(tmp_path / "z.json", Z_ROWS)
     out = run_cli("adjoint-gr24", "--Z", zfile)
     result = json.loads(out.stdout)["result"]
     assert result["coefficients"] == [593, -330, 49, 143, -30, 5]
 
-    lfile = write_json(tmp_path / "line.json", {"A": ["1", "0", "0", "0"], "B": ["0", "1", "0", "0"]})
+    lfile = write_json(tmp_path / "line.json", LINE)
     out = run_cli("amplituhedron", "--Z", zfile, "--line", lfile)
     result = json.loads(out.stdout)["result"]
     assert result["member"] is False
@@ -172,3 +211,48 @@ def test_string_limit_subcommand(tmp_path):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)["result"]
     assert result["relative_error"] < 0.01
+
+
+SCHEMA_KEYS = ["n", "s", "rows", "A", "B", "p", "V", "H", "a", "b", "dim", "points",
+               "nvars", "forms", "monomials", "coefficients", "exponent", "prefactor",
+               "const", "eps", "manifest", "result"]
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-6, 6)
+    | st.floats(-1e3, 1e3, allow_nan=False)
+    | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "", "1e400", float("inf")])
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=12,
+)
+# (subcommand arguments before the file, the option that takes the fuzzed file)
+FILE_READERS = [
+    (["amplitude"], "--kinematics"),
+    (["chy"], "--kinematics"),
+    (["crosscheck"], "--kinematics"),
+    (["string-limit"], "--kinematics"),
+    (["dihedral", "--check", "scattering"], "--kinematics"),
+    (["canonical-form"], "--polytope"),
+    (["adjoint-gr24"], "--Z"),
+    (["amplituhedron", "--line", "LINE"], "--Z"),
+    (["stabs", "--Z", "Z"], "--line"),
+    (["gkz"], "--integrand"),
+    (["signature"], "--path"),
+]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(document=DOCUMENTS, reader=st.sampled_from(FILE_READERS))
+def test_arbitrary_json_never_internal_error(tmp_path_factory, document, reader):
+    folder = tmp_path_factory.getbasetemp()
+    fixed = {"Z": write_json(folder / "fuzz_z.json", Z_ROWS),
+             "LINE": write_json(folder / "fuzz_line.json", LINE)}
+    fuzzed = write_json(folder / "fuzz.json", document)
+    prefix, option = reader
+    code, err = run_main(*[fixed.get(a, a) for a in prefix], option, fuzzed)
+    assert code in (0, 2, 3), err

@@ -1,7 +1,12 @@
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from posgeom.exact import (
     DenseTensor,
@@ -10,7 +15,6 @@ from posgeom.exact import (
     RationalFunction,
     det,
     matrix_rank,
-    rf_arith,
     rf_equal,
     solve_linear,
 )
@@ -22,7 +26,7 @@ def rf(name):
 
 def test_rf_common_denominator():
     x, y = rf("x"), rf("y")
-    lhs = rf_arith(1 / x, 1 / y, "add")
+    lhs = 1 / x + 1 / y
     xs, ys = Polynomial.variable("x"), Polynomial.variable("y")
     assert rf_equal(lhs, RationalFunction(xs + ys, xs * ys))
 
@@ -30,10 +34,10 @@ def test_rf_common_denominator():
 def test_rf_identity_and_div():
     x, y = rf("x"), rf("y")
     f = (x + 2) / (y - 1)
-    assert rf_equal(rf_arith(f, RationalFunction.const(1), "mul"), f)
-    assert rf_equal(rf_arith(f, f, "div"), RationalFunction.const(1))
+    assert rf_equal(f * RationalFunction.const(1), f)
+    assert rf_equal(f / f, RationalFunction.const(1))
     with pytest.raises(ZeroDivisionError):
-        rf_arith(f, RationalFunction.const(0), "div")
+        f / RationalFunction.const(0)
 
 
 def test_rf_equal_cases():
@@ -52,8 +56,8 @@ def test_rf_equal_is_congruence():
     b = RationalFunction(x + 1)
     b2 = RationalFunction((x + 1) * x, x)
     assert rf_equal(a, a2) and rf_equal(b, b2)
-    for op in ("add", "sub", "mul", "div"):
-        assert rf_equal(rf_arith(a, b, op), rf_arith(a2, b2, op))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert rf_equal(op(a, b), op(a2, b2))
 
 
 def test_rational_field_properties():
@@ -146,3 +150,118 @@ def test_dense_tensor():
     assert outer.to_nested() == [[3, 4], [6, 8]]
     with pytest.raises(ValueError):
         DenseTensor(2, 2, [1, 2, 3])
+
+
+# --------------------------------------------------------------------------
+# property tests: the invariants the fraction-free elimination and the
+# content normalization must keep
+# --------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+RATIONALS = st.sampled_from([F(a, b) for a in range(-6, 7) for b in (1, 2, 3)])
+
+
+@st.composite
+def matrices(draw, square=False):
+    ncols = draw(st.integers(1, 4))
+    nrows = ncols if square else draw(st.integers(1, 5))
+    rows = [draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # make the last row a combination of two others: rank deficiency
+        a, b = draw(RATIONALS), draw(RATIONALS)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows
+
+
+@st.composite
+def polynomials(draw):
+    names = draw(st.sampled_from(["x", "y", "xy", "xz", "xyz"]))
+    expos = st.sampled_from(list(itertools.product(range(3), repeat=len(names))))
+    return Polynomial(names, dict(draw(st.lists(st.tuples(expos, RATIONALS), max_size=4))))
+
+
+def leibniz(m):
+    total = F(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def apply(m, x):
+    return [sum((a * b for a, b in zip(row, x)), F(0)) for row in m]
+
+
+@PROPERTY
+@given(matrices(square=True))
+def test_det_is_leibniz_and_vanishes_exactly_below_full_rank(m):
+    d = det(m)
+    assert d == leibniz(m)
+    assert (d != 0) == (matrix_rank(m) == len(m))
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_is_a_primitive_basis(m):
+    ncols = len(m[0])
+    sol = solve_linear(m)
+    assert matrix_rank(m) + len(sol.kernel) == ncols
+    assert sol.status == ("kernel" if sol.kernel else "unique")
+    for vec in sol.kernel:
+        assert all(type(v) is int for v in vec)
+        assert apply(m, vec) == [0] * len(m)
+        assert math.gcd(*vec) == 1
+        assert next(v for v in vec if v != 0) > 0
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_solution_satisfies_the_system(m, data):
+    if data.draw(st.booleans()):
+        rhs = apply(m, data.draw(st.lists(RATIONALS, min_size=len(m[0]), max_size=len(m[0]))))
+    else:
+        rhs = data.draw(st.lists(RATIONALS, min_size=len(m), max_size=len(m)))
+    sol = solve_linear(m, rhs)
+    augmented = [row + [b] for row, b in zip(m, rhs)]
+    if sol.status == "inconsistent":
+        assert matrix_rank(augmented) > matrix_rank(m)
+    else:
+        assert apply(m, sol.solution) == rhs
+        assert (sol.status == "unique") == (matrix_rank(m) == len(m[0]))
+
+
+@PROPERTY
+@given(polynomials())
+def test_content_times_primitive(p):
+    c, q = p.content(), p.primitive()
+    assert p == c * q
+    assert c >= 0
+    if not p.is_zero:
+        assert all(v.denominator == 1 for v in q.terms.values())
+        assert math.gcd(*(v.numerator for v in q.terms.values())) == 1
+
+
+@PROPERTY
+@given(polynomials(), polynomials())
+def test_rational_function_normal_form(p, q):
+    assume(not q.is_zero)
+    f = RationalFunction(p, q)
+    coeffs = [*f.num.terms.values(), *f.den.terms.values()]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert math.gcd(*(c.numerator for c in coeffs)) == 1
+    assert f.den.leading_coefficient() > 0
+    assert f.num * q == p * f.den
+
+
+@PROPERTY
+@given(polynomials(), polynomials(), polynomials())
+def test_ring_axioms_and_divexact(p, q, r):
+    assert (p + q) * r == p * r + q * r
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p and p - p == 0
+    if not q.is_zero:
+        assert (p * q).divexact(q) == p
+        f, g = RationalFunction(p, q), RationalFunction(r + 1, q)
+        assert (f + g) - g == f
+        if not g.is_zero:
+            assert (f * g) / g == f
