@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -74,6 +75,24 @@ def _fraction(value, where: str) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: {value!r} is not a rational") from exc
+
+
+def _float(value, where: str) -> float:
+    """A rational argument as a finite float."""
+    try:
+        x = float(_fraction(value, where))
+    except OverflowError as exc:
+        raise ValidationError(f"{where}: {value!r} is too large for a float") from exc
+    if not math.isfinite(x):
+        raise ValidationError(f"{where}: {value!r} is not finite")
+    return x
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where}: {value!r} is not an integer")
+    return value
 
 
 def _vector(value, where: str) -> tuple[Fraction, ...]:
@@ -138,11 +157,11 @@ def _load_line(path: str):
 def _load_integrand(path: str):
     data, digest = _load_json(path)
     try:
-        nvars = int(data["nvars"])
+        nvars = _integer(data["nvars"], "nvars")
         forms = []
         for form in data["forms"]:
-            monomials = tuple(tuple(int(e) for e in m) for m in form["monomials"])
-            coefficients = tuple(int(i) for i in form["coefficients"])
+            monomials = tuple(tuple(_integer(e, "monomial exponent") for e in m) for m in form["monomials"])
+            coefficients = tuple(_integer(i, "coefficient index") for i in form["coefficients"])
             forms.append(LinearForm(monomials, coefficients, _exponent(form["exponent"])))
         prefactor = tuple(_exponent(e) for e in data["prefactor"])
         return EulerIntegrand(nvars, tuple(forms), prefactor), digest
@@ -324,12 +343,12 @@ def cmd_gkz(args, inputs):
         "toric_operators": [str(op) for op in ops["toric"]],
     }
     if args.evaluate is not None:
-        c = [float(_fraction(v, "--evaluate")) for v in args.evaluate.split(",")]
+        c = [_float(v, "--evaluate") for v in args.evaluate.split(",")]
         params = {}
         if args.params:
             for item in args.params.split(","):
                 name, _, val = item.partition("=")
-                params[name.strip()] = float(_fraction(val, "--params"))
+                params[name.strip()] = _float(val, "--params")
         out["value"] = evaluate_euler(integrand, c, params)
     return out
 
@@ -337,7 +356,7 @@ def cmd_gkz(args, inputs):
 def cmd_string_limit(args, inputs):
     k, digest = _load_kinematics(args.kinematics)
     inputs["kinematics"] = digest
-    eps = tuple(float(_fraction(v, "--eps")) for v in args.eps.split(","))
+    eps = tuple(_float(v, "--eps") for v in args.eps.split(","))
     result = string_limit(k, eps)
     return {
         "epsilons": list(result.epsilons),

@@ -11,11 +11,15 @@ normalized to coprime integer content with positive leading denominator
 coefficient.  Equality of rational functions is decided by exact
 cross-multiplication, so full multivariate gcd reduction is never needed.
 
-Linear algebra scales each rational row to integers by the lcm of its
-denominators and runs one fraction-free (Bareiss) elimination, which
-serves the determinant, the rank and the solver alike: every intermediate
-entry is a minor of the scaled input, so no rational arithmetic happens
-until back-substitution (Bareiss, Math. Comp. 22, 1968).
+Inner loops run on integers and results are Fractions.  One lcm scaling
+turns a row of rationals into integers over a common denominator.  The
+polynomial product convolves the scaled coefficients of its operands and
+divides by the product of their scales once per output term.  Linear
+algebra scales each row and runs one fraction-free (Bareiss) elimination,
+which serves the determinant, the rank and the solver alike: every
+intermediate entry is a minor of the scaled input, so no rational
+arithmetic happens until back-substitution (Bareiss, Math. Comp. 22,
+1968).
 """
 
 from __future__ import annotations
@@ -56,15 +60,19 @@ class Polynomial:
         for expo, coeff in terms.items():
             if len(expo) != len(svars):
                 raise ValueError("exponent length does not match variable count")
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             key = tuple(int(expo[i]) for i in order)
             if any(e < 0 for e in key):
                 raise ValueError("negative exponent")
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-            if clean[key] == 0:
-                del clean[key]
+            if key in clean:
+                coeff += clean[key]
+                if coeff == 0:
+                    del clean[key]
+                    continue
+            clean[key] = coeff
         object.__setattr__(self, "vars", svars)
         object.__setattr__(self, "terms", clean)
 
@@ -162,12 +170,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = Polynomial.aligned(self, other)
-        terms: dict[Exponent, Fraction] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
+        ia, la = _integer_row(a.terms.values())
+        ib, lb = _integer_row(b.terms.values())
+        right = list(zip(b.terms, ib))
+        acc: dict[Exponent, int] = {}
+        for ea, ca in zip(a.terms, ia):
+            for eb, cb in right:
                 key = tuple(x + y for x, y in zip(ea, eb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return Polynomial(a.vars, terms)
+                acc[key] = acc.get(key, 0) + ca * cb
+        l = la * lb
+        return Polynomial(a.vars, {e: Fraction(c, l) for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -470,7 +482,7 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
 
 def _integer_row(values: Iterable) -> tuple[list[int], int]:
     """The rationals times l, the lcm of their denominators, as integers."""
-    vals = [Fraction(v) for v in values]
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     l = math.lcm(*(v.denominator for v in vals))
     return [v.numerator * (l // v.denominator) for v in vals], l
 

@@ -16,6 +16,7 @@ interpolation system is solved by fraction-free elimination.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,9 +190,18 @@ def membership(line, z: ZMatrix, extended: bool = False) -> MembershipVerdict:
 # --------------------------------------------------------------------------
 
 
+# Facet lists kept per configuration: each stabs call needs them all.
+_CONE_FACETS_CACHE_SIZE = 32
+
+
 def cone_facets(z: ZMatrix) -> list[Vector]:
     """Inward normals of the cone over the configuration: brute force over
     vertex triples with orientation checks (exact)."""
+    return list(_cone_facets(z))
+
+
+@functools.lru_cache(maxsize=_CONE_FACETS_CACHE_SIZE)
+def _cone_facets(z: ZMatrix) -> tuple[Vector, ...]:
     normals = []
     for subset in combinations(range(1, z.n + 1), 3):
         rows = [list(z.row(i)) for i in subset]
@@ -208,7 +218,7 @@ def cone_facets(z: ZMatrix) -> list[Vector]:
             continue
         if oriented not in normals:
             normals.append(oriented)
-    return normals
+    return tuple(normals)
 
 
 def stabs(line, z: ZMatrix) -> bool:

@@ -3,19 +3,21 @@
 The signature of a single segment with increment v is the tensor
 exponential: level k holds v tensored with itself k times over k!.
 Segments compose by the truncated tensor-algebra product (Chen's rule), so
-a path's signature is a product of segment exponentials.  Entries stay
-Fractions throughout, which turns the classical checks (Chen, refinement
-invariance, reversal inverse, shuffle relations) into exact equalities
-rather than tolerance tests.
+a path's signature is a product of segment exponentials.  The product
+accumulates each level on integers over one common denominator, and every
+entry of the result is a Fraction, which turns the classical checks
+(Chen, refinement invariance, reversal inverse, shuffle relations) into
+exact equalities rather than tolerance tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import DenseTensor
+from .exact import DenseTensor, _integer_row
 
 MAX_ENTRIES = 10**7
 
@@ -97,12 +99,25 @@ class SignatureTensorStack:
         if self.dim != other.dim or self.depth != other.depth:
             raise ValueError("stack shape mismatch")
         d, depth = self.dim, self.depth
+        left = [_integer_row(t.entries) for t in self.levels]
+        right = [_integer_row(t.entries) for t in other.levels]
         out = []
         for k in range(depth + 1):
-            total = DenseTensor.zeros(d, k)
-            for i in range(k + 1):
-                total = total.add(self.levels[i].outer(other.levels[k - i]))
-            out.append(total)
+            # level k is the sum over i of A_i (x) B_{k-i}, accumulated as
+            # integers over the lcm of the products of the level scales
+            pairs = [(left[i], right[k - i]) for i in range(k + 1)]
+            l = math.lcm(*(la * lb for (_, la), (_, lb) in pairs))
+            acc = [0] * d**k
+            for (ia, la), (ib, lb) in pairs:
+                f = l // (la * lb)
+                width = len(ib)
+                for pos, x in enumerate(ia):
+                    if x:
+                        x *= f
+                        base = pos * width
+                        for j, y in enumerate(ib):
+                            acc[base + j] += x * y
+            out.append(DenseTensor(d, k, [Fraction(v, l) for v in acc]))
         return SignatureTensorStack(tuple(out))
 
     def __eq__(self, other):

@@ -6,10 +6,16 @@ a kinematic point it is an exact rational number; in symbolic form it is a
 rational function in the planar variables.  This module is the reference
 oracle that every other amplitude computation in the package is checked
 against.
+
+The triangulations of each n are enumerated once and kept.  The numeric
+sum runs on integers, the numerators and denominators of the planar
+variables, and builds a single Fraction for the result.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +49,17 @@ def crossing(d1: Diagonal, d2: Diagonal) -> bool:
     return i < k < j < l
 
 
+# Triangulation lists kept per n; Catalan growth makes n = 12 already 16796.
+_TRIANGULATION_CACHE_SIZE = 8
+
+
 def enumerate_triangulations(n: int) -> list[Triangulation]:
     """All triangulations of the convex n-gon, deterministically ordered."""
+    return list(_triangulations(n))
+
+
+@functools.lru_cache(maxsize=_TRIANGULATION_CACHE_SIZE)
+def _triangulations(n: int) -> tuple[Triangulation, ...]:
     if n < 3:
         raise ValueError("polygon needs at least 3 vertices")
 
@@ -65,21 +80,30 @@ def enumerate_triangulations(n: int) -> list[Triangulation]:
         return out
 
     seen = sorted({tuple(sorted(t)) for t in rec(tuple(range(1, n + 1)))})
-    return [Triangulation(n, t) for t in seen]
+    return tuple(Triangulation(n, t) for t in seen)
 
 
 def tree_amplitude(k: KinematicData) -> Fraction:
-    """Exact value of the planar tree amplitude at a kinematic point."""
+    """Exact value of the planar tree amplitude at a kinematic point.
+
+    Each triangulation contributes a/b with a and b the products of the
+    denominators and numerators of its planar variables; the terms are
+    summed as integers over l = lcm of the b and reduced once.
+    """
     x = planar_variables(k)
-    total = Fraction(0)
+    nums = {d: v.numerator for d, v in x.items()}
+    dens = {d: v.denominator for d, v in x.items()}
+    terms = []
     for t in enumerate_triangulations(k.n):
-        term = Fraction(1)
+        a = b = 1
         for d in t.diagonals:
-            if x[d] == 0:
+            if nums[d] == 0:
                 raise PoleError(f"planar variable X{d} vanishes at this kinematic point")
-            term /= x[d]
-        total += term
-    return total
+            a *= dens[d]
+            b *= nums[d]
+        terms.append((a, b))
+    l = math.lcm(*(b for _, b in terms))
+    return Fraction(sum(a * (l // b) for a, b in terms), l)
 
 
 def default_planar_names(n: int) -> dict[Diagonal, str]:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import subprocess
@@ -32,6 +33,34 @@ def write_json(path, payload):
 
 Z_ROWS = {"rows": [[1, i, i * i, i**3] for i in range(1, 6)]}
 LINE = {"A": ["1", "0", "0", "0"], "B": ["0", "1", "0", "0"]}
+# the integrand example of docs/schemas.md
+INTEGRAND = {
+    "nvars": 2,
+    "forms": [
+        {"monomials": [[1, 0], [0, 1], [0, 0]], "coefficients": [1, 2, 3], "exponent": "-1"},
+        {"monomials": [[1, 0], [0, 0]], "coefficients": [4, 5], "exponent": "-1"},
+        {"monomials": [[0, 1], [0, 0]], "coefficients": [6, 7], "exponent": "-1"},
+    ],
+    "prefactor": [{"eps": "1", "const": "1"}, {"eps": "1", "const": "1"}],
+}
+# paths to the integer slots of INTEGRAND: nvars, coefficient indices, monomial exponents
+INTEGER_SLOTS = [("nvars",)] + [
+    path
+    for f, form in enumerate(INTEGRAND["forms"])
+    for path in [("forms", f, "coefficients", i) for i in range(len(form["coefficients"]))]
+    + [("forms", f, "monomials", m, e) for m, mono in enumerate(form["monomials"]) for e in range(len(mono))]
+]
+
+
+def with_slot(document, path, value):
+    """A deep copy of document with the entry at path replaced by value."""
+    out = copy.deepcopy(document)
+    *head, last = path
+    target = out
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return out
 
 
 def kinematics_file(tmp_path, seed=7, abhy=True):
@@ -107,6 +136,16 @@ def test_validation_exit_code(tmp_path):
         ("string-limit", "--kinematics", five_point, "--eps", "1/0"),
         # NaN and Infinity are not JSON numbers
         ("canonical-form", "--polytope", write_json(tmp_path / "inf.json", {"V": [[float("inf"), 0]]})),
+        # numeric arguments beyond the float range
+        ("string-limit", "--kinematics", five_point, "--eps", "1e400"),
+        ("gkz", "--integrand", write_json(tmp_path / "ok.json", INTEGRAND), "--evaluate", "1,1,1,1,1,1,1e400"),
+        ("gkz", "--integrand", str(tmp_path / "ok.json"), "--evaluate", "1,1,1,1,1,1,1", "--params", "eps=-1e400"),
+        # integer slots of an integrand take integers only, never floats or booleans
+        ("gkz", "--integrand", write_json(tmp_path / "nvars.json", with_slot(INTEGRAND, ("nvars",), 2.5))),
+        ("gkz", "--integrand",
+         write_json(tmp_path / "index.json", with_slot(INTEGRAND, ("forms", 0, "coefficients", 2), 3.9))),
+        ("gkz", "--integrand",
+         write_json(tmp_path / "expo.json", with_slot(INTEGRAND, ("forms", 1, "monomials", 0, 0), True))),
     ]
     for args in cases:
         code, err = run_main(*args)
@@ -151,16 +190,7 @@ def test_adjoint_and_membership_files(tmp_path):
 
 
 def test_gkz_subcommand(tmp_path):
-    integrand = {
-        "nvars": 2,
-        "forms": [
-            {"monomials": [[1, 0], [0, 1], [0, 0]], "coefficients": [1, 2, 3], "exponent": "-1"},
-            {"monomials": [[1, 0], [0, 0]], "coefficients": [4, 5], "exponent": "-1"},
-            {"monomials": [[0, 1], [0, 0]], "coefficients": [6, 7], "exponent": "-1"},
-        ],
-        "prefactor": [{"eps": "1", "const": "1"}, {"eps": "1", "const": "1"}],
-    }
-    path = write_json(tmp_path / "bp.json", integrand)
+    path = write_json(tmp_path / "bp.json", INTEGRAND)
     out = run_cli("gkz", "--integrand", path)
     result = json.loads(out.stdout)["result"]
     assert result["toric_operators"] == ["d1*d5 - d3*d4", "d2*d7 - d3*d6"]
@@ -245,14 +275,26 @@ FILE_READERS = [
 ]
 
 
+# the INTEGRAND example with one integer slot holding a float or a boolean:
+# every reader must reject it (exit 2)
+NON_INTEGER_SLOTS = st.builds(
+    with_slot,
+    st.just(INTEGRAND),
+    st.sampled_from(INTEGER_SLOTS),
+    st.booleans() | st.floats(-8, 8, allow_nan=False),
+)
+
+
 @settings(max_examples=80, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(document=DOCUMENTS, reader=st.sampled_from(FILE_READERS))
-def test_arbitrary_json_never_internal_error(tmp_path_factory, document, reader):
+@given(case=DOCUMENTS.map(lambda d: (d, (0, 2, 3))) | NON_INTEGER_SLOTS.map(lambda d: (d, (2,))),
+       reader=st.sampled_from(FILE_READERS))
+def test_arbitrary_json_never_internal_error(tmp_path_factory, case, reader):
+    document, allowed = case
     folder = tmp_path_factory.getbasetemp()
     fixed = {"Z": write_json(folder / "fuzz_z.json", Z_ROWS),
              "LINE": write_json(folder / "fuzz_line.json", LINE)}
     fuzzed = write_json(folder / "fuzz.json", document)
     prefix, option = reader
     code, err = run_main(*[fixed.get(a, a) for a in prefix], option, fuzzed)
-    assert code in (0, 2, 3), err
+    assert code in allowed, (document, err)

@@ -265,3 +265,29 @@ def test_ring_axioms_and_divexact(p, q, r):
         assert (f + g) - g == f
         if not g.is_zero:
             assert (f * g) / g == f
+
+
+def naive_product(p, q):
+    """Fraction convolution of two polynomials over the union of their
+    variables: (variables, exponent -> coefficient without zeros)."""
+    names = tuple(sorted(set(p.vars) | set(q.vars)))
+
+    def monomials(poly):
+        return [(dict(zip(poly.vars, expo)), c) for expo, c in poly.terms.items()]
+
+    terms = {}
+    for ma, ca in monomials(p):
+        for mb, cb in monomials(q):
+            key = tuple(ma.get(v, 0) + mb.get(v, 0) for v in names)
+            terms[key] = terms.get(key, F(0)) + ca * cb
+    return names, {e: c for e, c in terms.items() if c != 0}
+
+
+@PROPERTY
+@given(polynomials(), polynomials())
+def test_product_is_the_fraction_convolution(p, q):
+    # (p + q) * (p - q) cancels its cross terms to zero
+    for a, b in ((p, q), (p + q, p - q), (p, -p)):
+        product = a * b
+        assert (product.vars, product.terms) == naive_product(a, b)
+        assert all(type(c) is F and c != 0 for c in product.terms.values())

@@ -131,6 +131,17 @@ def test_cone_facets_count():
     assert len(cone_facets(Z)) == 6
 
 
+def test_cone_facet_lists_are_fresh_copies():
+    line = centroid_stab_line(Z)
+    facets = cone_facets(Z)
+    expected = list(facets)
+    facets.clear()
+    facets.append((F(-1), F(0), F(0), F(0)))
+    assert cone_facets(Z) == expected
+    assert stabs(line, Z)
+    assert all(stabs(random_member(Z, seed), Z) for seed in range(3))
+
+
 def test_special_lines_incidences():
     for i in range(1, 6):
         line = special_line(i, Z)

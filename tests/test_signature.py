@@ -2,9 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from posgeom.exact import DenseTensor
 from posgeom.signature import (
     PiecewiseLinearPath,
+    SignatureTensorStack,
     cyclic_path,
     identity_stack,
     segment_signature,
@@ -130,3 +134,42 @@ def test_truncation_guard():
     path = PiecewiseLinearPath.from_points([[0] * 10, [1] * 10])
     with pytest.raises(ValueError):
         signature(path, 8)
+
+
+RATIONALS = st.sampled_from([F(a, b) for a in range(-6, 7) for b in (1, 2, 3, 5)])
+
+
+@st.composite
+def stack_pairs(draw):
+    """Two random rational stacks of one shape; level 0 need not be 1."""
+    dim, depth = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+    def stack():
+        return SignatureTensorStack(tuple(
+            DenseTensor(dim, k, draw(st.lists(RATIONALS, min_size=dim**k, max_size=dim**k)))
+            for k in range(depth + 1)
+        ))
+
+    return stack(), stack()
+
+
+def reference_product(a, b):
+    levels = []
+    for k in range(a.depth + 1):
+        entries = [F(0)] * a.dim**k
+        for i in range(k + 1):
+            right = b.levels[k - i].entries
+            for x, u in enumerate(a.levels[i].entries):
+                for y, v in enumerate(right):
+                    entries[x * len(right) + y] += u * v
+        levels.append(entries)
+    return levels
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(stack_pairs())
+def test_product_is_the_fraction_tensor_algebra_product(pair):
+    a, b = pair
+    product = a.product(b)
+    assert [list(t.entries) for t in product.levels] == reference_product(a, b)
+    assert all(type(x) is F for t in product.levels for x in t.entries)

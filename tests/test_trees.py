@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posgeom.exact import PoleError, RationalFunction, rf_equal
 from posgeom.kinematics import (
@@ -105,3 +107,59 @@ def test_symbolic_cyclic_invariance_n5():
         rotated_names[(i, j)] = f"X{a}{b}"
     rotated = tree_amplitude_symbolic(5, rotated_names)
     assert rf_equal(amp, rotated)
+
+
+# --------------------------------------------------------------------------
+# property tests: the integer tree sum against a Fraction reference
+# --------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+NONZERO = st.builds(F, st.integers(1, 40) | st.integers(-40, -1), st.integers(1, 9))
+
+
+@st.composite
+def planar_points(draw):
+    n = draw(st.integers(4, 9))
+    return n, {d: draw(NONZERO) for d in polygon_diagonals(n)}
+
+
+def reference_tree_sum(n, planar):
+    total = F(0)
+    for t in enumerate_triangulations(n):
+        term = F(1)
+        for d in t.diagonals:
+            term /= planar[d]
+        total += term
+    return total
+
+
+@PROPERTY
+@given(planar_points())
+def test_tree_amplitude_is_the_fraction_triangulation_sum(point):
+    n, planar = point
+    value = tree_amplitude(kinematics_from_planar(n, planar))
+    assert type(value) is F
+    assert value == reference_tree_sum(n, planar)
+
+
+@PROPERTY
+@given(planar_points(), st.data())
+def test_vanishing_planar_variable_raises_pole_error(point, data):
+    n, planar = point
+    d = data.draw(st.sampled_from(polygon_diagonals(n)))
+    planar[d] = F(0)
+    with pytest.raises(PoleError) as info:
+        tree_amplitude(kinematics_from_planar(n, planar))
+    assert str(info.value) == f"planar variable X{d} vanishes at this kinematic point"
+
+
+def test_triangulation_lists_are_fresh_copies():
+    k = sample_kinematics(6, 2)
+    value = tree_amplitude(k)
+    first = enumerate_triangulations(6)
+    expected = list(first)
+    first.pop()
+    first.reverse()
+    assert enumerate_triangulations(6) == expected
+    assert enumerate_triangulations(6) is not enumerate_triangulations(6)
+    assert tree_amplitude(k) == value
