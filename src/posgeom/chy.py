@@ -15,8 +15,9 @@ the (n-3)! bounded chambers {0 < sigma_pi(3) < ... < sigma_pi(n-1) < 1} and
 has exactly one critical point there (Varchenko); damped Newton finds it,
 and all of them are tracked along s(t) = (1-t) gamma s0 + t s to the target
 kinematics, gamma a random phase that keeps the paths off the discriminant.
-Every endpoint is Newton-polished and re-verified against the raw gradient,
-so a failed or jumped path can lose a root but never add a wrong one.  The
+The endpoints of a batch are Newton-polished together, each keeping its
+lowest-residual iterate, and re-verified against the raw gradient, so a
+failed or jumped path can lose a root but never add a wrong one.  The
 (n-3)-dependent global sign of the Hessian-determinant sum is fixed
 empirically against the tree amplitude and pinned by the test suite.
 """
@@ -24,6 +25,7 @@ empirically against the tree amplitude and pinned by the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +40,7 @@ from .kinematics import KinematicData
 # letters must sort alphabetically in chart order, since polynomials keep
 # their variables name-sorted; beyond three moduli, indexed names are used
 _LETTERS = ("x", "y", "z")
+_MINORS_CACHE_SIZE = 8
 
 
 class WrongCountError(RuntimeError):
@@ -61,6 +64,11 @@ def moduli_coordinates(n: int) -> tuple[str, ...]:
 
 def minors(n: int) -> dict[tuple[int, int], Polynomial]:
     """All p_ij, i < j, as polynomials in the chart coordinates."""
+    return dict(_minors(n))
+
+
+@functools.lru_cache(maxsize=_MINORS_CACHE_SIZE)
+def _minors(n: int) -> dict[tuple[int, int], Polynomial]:
     if n < 4:
         raise ValueError("need n >= 4")
     coords = moduli_coordinates(n)
@@ -85,13 +93,24 @@ def minors(n: int) -> dict[tuple[int, int], Polynomial]:
     return out
 
 
-def _derivatives(s: np.ndarray, k: np.ndarray, c: np.ndarray, x: np.ndarray):
+def _derivatives(pot: ScatteringPotential, x: np.ndarray, s=None, w=None):
     """Minors p = k + c.x, gradient and Jacobian of sum_t s_t log p_t at the
-    chart points x of shape (..., m); the weights s broadcast against p."""
+    chart points x of shape (..., m).  s defaults to the potential's weights
+    and the gradient takes the weights w (default s); both broadcast."""
+    s0, k, c, outer = pot._arrays
+    s = s0 if s is None else s
     p = k + x @ c.T
-    g = (s / p) @ c
-    j = -np.einsum("...t,ta,tc->...ac", s / p**2, c, c)
+    g = ((s if w is None else w) / p) @ c
+    j = ((s / p**2) @ outer).reshape(p.shape[:-1] + (c.shape[1],) * 2)
     return p, g, j
+
+
+def _theta_hessian(x: np.ndarray, g: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """theta_a theta_b L = delta_ab x_a g_a + x_a x_b J_ab, batched over rows."""
+    h = x[..., :, None] * x[..., None, :] * j
+    diag = np.arange(x.shape[-1])
+    h[..., diag, diag] += x * g
+    return h
 
 
 @dataclass(frozen=True)
@@ -116,10 +135,12 @@ class ScatteringPotential:
 
     @cached_property
     def _arrays(self):
+        c = np.array([t.coeffs for t in self.terms], dtype=float)
         out = (
             np.array([float(t.s) for t in self.terms]),
             np.array([float(t.const) for t in self.terms]),
-            np.array([t.coeffs for t in self.terms], dtype=float),
+            c,
+            -(c[:, :, None] * c[:, None, :]).reshape(len(c), -1),  # -c_a c_b per minor
         )
         for a in out:
             a.flags.writeable = False  # shared by every caller
@@ -127,41 +148,23 @@ class ScatteringPotential:
 
     def arrays(self):
         """(s, k, c): weights, constants and coefficient rows of the minors."""
-        return self._arrays
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return _derivatives(*self.arrays(), x)[1]
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return _derivatives(*self.arrays(), x)[2]
+        return self._arrays[:3]
 
     def theta_hessian(self, x: np.ndarray) -> np.ndarray:
-        _, g, h = _derivatives(*self.arrays(), x)
-        return np.diag(x * g) + np.outer(x, x) * h
+        return _theta_hessian(x, *_derivatives(self, x)[1:])
 
 
 def scattering_potential(k: KinematicData) -> ScatteringPotential:
     coords = moduli_coordinates(k.n)
-    m = len(coords)
-    ps = minors(k.n)
     terms = []
-    for (i, j), p in sorted(ps.items()):
-        if j == k.n:
-            continue
+    for (i, j), p in sorted(_minors(k.n).items()):
         # read linear coefficients by variable NAME: polynomials store their
         # variables name-sorted, which need not match the chart order
-        coeffs = tuple(
-            int(
-                p.terms.get(
-                    tuple(1 if q == p.vars.index(coords[t]) else 0 for q in range(m)), 0
-                )
-            )
-            for t in range(m)
-        )
+        coeffs = tuple(int(p.terms.get(tuple(int(v == name) for v in p.vars), 0)) for name in coords)
         if not any(coeffs):
-            continue  # constant minor contributes nothing
-        const = p.terms.get((0,) * m, Fraction(0))
-        terms.append(PotentialTerm(i, j, k.s[i - 1][j - 1], Fraction(const), coeffs))
+            continue  # constant minors (all p_in among them) contribute nothing
+        const = p.terms.get((0,) * len(coords), Fraction(0))
+        terms.append(PotentialTerm(i, j, k.s[i - 1][j - 1], const, coeffs))
     return ScatteringPotential(k.n, coords, tuple(terms))
 
 
@@ -221,35 +224,49 @@ def _solve(j: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.stack([_solve(jj, bb) for jj, bb in zip(j, b)])
 
 
-def _newton_polish(pot: ScatteringPotential, x: np.ndarray, iterations: int = 8) -> np.ndarray:
+def _newton_polish(pot: ScatteringPotential, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on every row of x at once, for at most 30 steps.
+
+    Each row returns its iterate with the lowest raw residual max|grad L|
+    (input included, ties to the later) and that residual, inf if none was
+    finite.  A row stops, after evaluating its last step, once Newton stops
+    contracting and its residual is below tol: the step is within a few ulps
+    of the scale, or below 1e-8 of it and no longer halving.  Above tol a
+    row keeps stepping, as rounding noise moves the residual from iterate to
+    iterate; a singular Jacobian stops it at once."""
+    x = np.array(x, dtype=complex)
+    best, residual = x.copy(), np.full(len(x), np.inf)
+    last, converged = np.full(len(x), np.inf), np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
     with np.errstate(all="ignore"):
-        for _ in range(iterations):
-            _, g, j = _derivatives(*pot.arrays(), x)
+        for _ in range(31):
+            y = x[live]
+            _, g, j = _derivatives(pot, y)
+            res = np.abs(g).max(axis=1)
+            better = res <= residual[live]
+            best[live[better]], residual[live[better]] = y[better], res[better]
             step = _solve(j, -g)
-            if not np.all(np.isfinite(step)):
-                return x
-            x = x + step
-            if np.max(np.abs(step)) < 1e-16 * (1 + np.max(np.abs(x))):
+            size, scale = np.abs(step).max(axis=1), 1.0 + np.abs(y).max(axis=1)
+            go = np.isfinite(size) & ~(converged[live] & (residual[live] < tol))
+            converged[live] = (size <= 1e-15 * scale) | ((size < 1e-8 * scale) & (size > last[live] / 2))
+            x[live], last[live] = y + step, size
+            live = live[go]
+            if not len(live):
                 break
-    return x
-
-
-def _raw_residual(pot: ScatteringPotential, x: np.ndarray) -> float:
-    with np.errstate(all="ignore"):
-        residual = float(np.max(np.abs(_derivatives(*pot.arrays(), x)[1])))
-    return residual if math.isfinite(residual) else float("inf")
+    return best, residual
 
 
 def _sort_key(x: np.ndarray):
     return tuple(v for xi in x for v in (xi.real, xi.imag))
 
 
-def _root_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance relative to the root scale: double precision cannot
-    pin a root of magnitude L more tightly than ~L*eps, so absolute
-    thresholds would mistake one large root for two."""
-    scale = 1.0 + max(np.abs(a).max(), np.abs(b).max())
-    return float(np.abs(a - b).max() / scale)
+def _root_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-norm distance over the last axis relative to the root scale:
+    double precision cannot pin a root of magnitude L more tightly than
+    ~L*eps, so absolute thresholds would mistake one large root for two.
+    _root_distance(r[:, None], r[None]) is the pairwise matrix of rows."""
+    scale = 1.0 + np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))
+    return np.abs(a - b).max(axis=-1) / scale
 
 
 # -- six points and beyond: the positive-chamber homotopy --------------------
@@ -280,7 +297,7 @@ def _chamber_maxima(pot: ScatteringPotential, s0: np.ndarray) -> np.ndarray:
     sign = np.sign(k + x @ c.T)
     with np.errstate(all="ignore"):
         for _ in range(100):
-            _, g, j = _derivatives(s0, k, c, x)
+            _, g, j = _derivatives(pot, x, s0)
             step = _solve(j, -g)
             lam = np.ones(len(x))
             for _ in range(60):
@@ -305,9 +322,8 @@ def _track(pot: ScatteringPotential, s0: np.ndarray, gamma: complex, x: np.ndarr
     stayed on its path) and the last one has converged; each path sizes its
     next step from its first correction, which scales as h^5.  Failed
     paths return nan rows."""
-    s, k, c = pot.arrays()
     start = gamma * s0
-    ds = s - start
+    ds = pot.arrays()[0] - start
     x = x.astype(complex)
     t = np.zeros(len(x))
     h = np.full(len(x), 0.02)
@@ -315,8 +331,8 @@ def _track(pot: ScatteringPotential, s0: np.ndarray, gamma: complex, x: np.ndarr
     failed = np.zeros(len(x), dtype=bool)
 
     def velocity(y, tau):
-        p, _, j = _derivatives(start + tau[:, None] * ds, k, c, y)
-        return _solve(j, -(ds / p) @ c)
+        _, g, j = _derivatives(pot, y, start + tau[:, None] * ds, ds)
+        return _solve(j, -g)
 
     with np.errstate(all="ignore"):
         for _ in range(_MAX_STEPS):
@@ -334,7 +350,7 @@ def _track(pot: ScatteringPotential, s0: np.ndarray, gamma: complex, x: np.ndarr
             target = start + (tau + step)[:, None] * ds
             corrections = []
             for _ in range(3):
-                p, g, j = _derivatives(target, k, c, y)
+                p, g, j = _derivatives(pot, y, target)
                 d = _solve(j, -g)
                 corrections.append(np.abs(d).max(axis=1))
                 y = y + d
@@ -372,31 +388,20 @@ def solve_scattering(k: KinematicData, tol: float = 1e-12, seed: int = 0) -> lis
     track one homotopy path from each bounded chamber of a positive start
     system; seed selects the start weights s0 and the phases gamma, drawn
     from np.random.default_rng(seed), and a short count is re-tracked with
-    up to two fresh gammas.  Endpoints are polished, verified on the raw
-    gradient, deduplicated at 1e-9 and completed by complex conjugation.
-    Raises WrongCountError when the verified root count is off (degenerate
+    up to two fresh gammas.  All endpoints of a batch are Newton-polished
+    together, each keeping its lowest-residual iterate; they are verified
+    on the raw gradient, deduplicated at 1e-9 and completed by complex
+    conjugation.  Raises ValueError unless tol is finite and positive, and
+    WrongCountError when the verified root count is off (degenerate
     kinematics near the logarithmic discriminant, or lost paths) and when
     two roots approach within 1e-6.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     pot = scattering_potential(k)
-    expected = math.factorial(k.n - 3)
-    roots: list[np.ndarray] = []
-
-    def try_add(cand: np.ndarray):
-        if not np.all(np.isfinite(cand)):
-            return
-        cand = _newton_polish(pot, np.asarray(cand, dtype=complex), iterations=30)
-        if _raw_residual(pot, cand) >= tol or np.abs(cand).max() > _FAR:
-            return
-        if 0 < np.abs(cand.imag).max() < 1e-4 * (1 + np.abs(cand.real).max()):
-            # kinematics are real: a root this close to the real axis is
-            # real, and real-projected Newton stays exactly real
-            projected = _newton_polish(pot, cand.real.astype(complex), iterations=30)
-            if _raw_residual(pot, projected) < tol:
-                cand = projected
-        for cc in (cand, cand.conj()):
-            if _raw_residual(pot, cc) < tol and all(_root_distance(cc, r) > 1e-9 for r in roots):
-                roots.append(cc.copy())
+    m = k.n - 3
+    expected = math.factorial(m)
+    roots = np.empty((0, m), dtype=complex)
 
     if k.n == 4:
         batches = [_solve_n4(k)]
@@ -405,30 +410,42 @@ def solve_scattering(k: KinematicData, tol: float = 1e-12, seed: int = 0) -> lis
     else:
         batches = _homotopy(pot, np.random.default_rng(seed))
     for batch in batches:
-        for cand in batch:
-            try_add(cand)
+        x = np.asarray(batch, dtype=complex).reshape(-1, m)
+        x, residual = _newton_polish(pot, x[np.isfinite(x).all(axis=1)], tol)
+        x = x[(residual < tol) & (np.abs(x).max(axis=1) <= _FAR)]
+        # kinematics are real: a root this close to the real axis is real,
+        # and real-projected Newton stays exactly real
+        imag = np.abs(x.imag).max(axis=1)
+        near = np.flatnonzero((imag > 0) & (imag < 1e-4 * (1 + np.abs(x.real).max(axis=1))))
+        projected, residual = _newton_polish(pot, x[near].real, tol)
+        x[near[residual < tol]] = projected[residual < tol]
+        # a conjugate has the same raw residual, since s, k and c are real
+        pool = np.concatenate([roots, np.stack([x, x.conj()], axis=1).reshape(-1, m)])
+        dist = _root_distance(pool[:, None], pool[None])
+        kept = list(range(len(roots)))
+        for i in range(len(roots), len(pool)):
+            if np.all(dist[i, kept] > 1e-9):
+                kept.append(i)
+        roots = pool[kept]
         if len(roots) >= expected:
             break
 
-    roots.sort(key=_sort_key)
-    for p in range(len(roots)):
-        for q in range(p + 1, len(roots)):
-            if _root_distance(roots[p], roots[q]) < 1e-6:
-                raise WrongCountError(expected, len(roots), "two roots nearly collide (discriminant)")
+    roots = np.array(sorted(roots, key=_sort_key)).reshape(-1, m)
+    dist = _root_distance(roots[:, None], roots[None])
+    if np.any(dist[np.triu_indices(len(roots), 1)] < 1e-6):
+        raise WrongCountError(expected, len(roots), "two roots nearly collide (discriminant)")
     if len(roots) != expected:
         raise WrongCountError(expected, len(roots))
 
-    points = []
-    for r in roots:
-        h = pot.theta_hessian(r)
-        points.append(
-            CriticalPoint(
-                coords=tuple(complex(v) for v in r),
-                residual=_raw_residual(pot, r),
-                hessian=tuple(tuple(complex(v) for v in row) for row in h),
-            )
+    _, g, j = _derivatives(pot, roots)
+    return [
+        CriticalPoint(
+            coords=tuple(complex(v) for v in r),
+            residual=float(res),
+            hessian=tuple(tuple(complex(v) for v in row) for row in h),
         )
-    return points
+        for r, res, h in zip(roots, np.abs(g).max(axis=1), _theta_hessian(roots, g, j))
+    ]
 
 
 def chy_amplitude(k: KinematicData, points: list[CriticalPoint]) -> complex:

@@ -4,10 +4,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posgeom.chy import (
     WrongCountError,
+    _derivatives,
     _homotopy,
+    _newton_polish,
     _root_distance,
     _solve_n4,
     _solve_n5,
@@ -17,7 +21,12 @@ from posgeom.chy import (
     scattering_potential,
     solve_scattering,
 )
-from posgeom.kinematics import kinematics_from_planar, polygon_diagonals, sample_kinematics
+from posgeom.kinematics import (
+    kinematics_from_planar,
+    polygon_diagonals,
+    sample_abhy_kinematics,
+    sample_kinematics,
+)
 from posgeom.trees import tree_amplitude
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -174,3 +183,87 @@ def test_homotopy_reaches_every_eight_point_root(seed):
     raw = sum(1.0 / np.linalg.det(pot.theta_hessian(e)) for e in ends)
     tree = float(tree_amplitude(k))
     assert abs((-1) ** (8 - 3) * raw - tree) / abs(tree) < 1e-9
+
+
+def test_minors_are_cached_but_returned_fresh():
+    k = sample_kinematics(5, 3)
+    before = [p.coords for p in solve_scattering(k, tol=1e-10)]
+    ms = minors(5)
+    ms[(1, 3)] = ms[(2, 3)]
+    del ms[(3, 4)]
+    again = minors(5)
+    assert str(again[(1, 3)]) == "x + 1" and str(again[(3, 4)]) == "y"
+    assert again is not minors(5)
+    assert [p.coords for p in solve_scattering(k, tol=1e-10)] == before
+
+
+def _residual(pot, x):
+    return np.abs(_derivatives(pot, x)[1]).max(axis=-1)
+
+
+def test_batched_polish_matches_row_by_row():
+    # perturbed roots, so every row takes several Newton steps
+    rng = np.random.default_rng(0)
+    for n, seed in ((5, 0), (5, 7), (6, 2)):
+        k = sample_kinematics(n, seed)
+        pot = scattering_potential(k)
+        roots = np.array([p.coords for p in solve_scattering(k, tol=1e-10, seed=seed)])
+        rows = roots * (1 + 1e-4 * rng.standard_normal(roots.shape))
+        stacked, residual = _newton_polish(pot, rows, 1e-10)
+        for row, polished, res in zip(rows, stacked, residual):
+            alone, res_alone = _newton_polish(pot, row[None], 1e-10)
+            assert np.abs(alone[0] - polished).max() <= 1e-14 * np.abs(polished).max()
+            assert res == pytest.approx(res_alone[0], rel=1e-14, abs=1e-15)
+            assert res < 1e-10 and np.isclose(polished, roots, rtol=1e-9).all(axis=1).any()
+
+
+def test_polish_singular_row_keeps_input():
+    # s12 = 3, s23 = 1, s13 = -4: the Jacobian 4/(x+1)^2 - 1/x^2 of
+    # L = s13 log(x+1) + s23 log x vanishes exactly at x = 1
+    k = kinematics_from_planar(4, {(1, 3): F(3), (2, 4): F(1)})
+    pot = scattering_potential(k)
+    good = np.array([[0.3 + 0.01j]])
+    rows = np.array([[1.0 + 0j], good[0]])
+    polished, residual = _newton_polish(pot, rows, 1e-12)
+    assert polished[0, 0] == 1.0 and residual[0] == _residual(pot, rows[0])
+    alone, res_alone = _newton_polish(pot, good, 1e-12)
+    assert polished[1, 0] == alone[0, 0] and residual[1] == res_alone[0]
+    assert polished[1, 0] == pytest.approx(1 / 3, abs=1e-15)
+
+
+POLISH_POT = scattering_potential(sample_kinematics(5, 11))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-1, 1), st.floats(-1, 1)),
+                min_size=1, max_size=4))
+def test_polish_never_raises_the_residual(points):
+    rows = np.array([[complex(a, c), complex(b, d)] for a, b, c, d in points])
+    polished, residual = _newton_polish(POLISH_POT, rows, 1e-10)
+    with np.errstate(all="ignore"):  # rows may sit on a pole
+        before, after = _residual(POLISH_POT, rows), _residual(POLISH_POT, polished)
+    for b, a, r in zip(before, after, residual):
+        if np.isfinite(b):
+            assert r <= b and r == a
+
+
+@pytest.mark.parametrize(
+    "n,seed,positive,tol",
+    [
+        (5, 10, True, 1e-10),  # sample_abhy_kinematics seeds
+        (5, 1, True, 1e-12),
+        (6, 471, False, 1e-10),
+        (7, 1, False, 1e-10),
+        (7, 36, False, 1e-10),
+        (7, 20, True, 1e-10),
+        (7, 44, True, 1e-10),
+    ],
+)
+def test_lowest_residual_polish_recovers_dropped_roots(n, seed, positive, tol):
+    # before the batched polish kept its lowest-residual iterate, one root
+    # of each of these stayed above tol and the solve raised WrongCountError
+    k = sample_abhy_kinematics(seed) if n == 5 else sample_kinematics(n, seed, positive=positive)
+    pts = solve_scattering(k, tol=tol)
+    assert len(pts) == math.factorial(n - 3)
+    tree = float(tree_amplitude(k))
+    assert abs(chy_amplitude(k, pts) - tree) / abs(tree) < 1e-9

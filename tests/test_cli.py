@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from posgeom.cli import main
-from posgeom.kinematics import sample_kinematics
+from posgeom.kinematics import sample_abhy_kinematics, sample_kinematics
 
 
 def run_cli(*args, cwd=None):
@@ -151,6 +151,12 @@ def test_validation_exit_code(tmp_path):
         code, err = run_main(*args)
         assert code == 2, (args, err)
         assert "validation error" in err, (args, err)
+    # roots are verified against --tol, so it must be finite and positive
+    abhy_point = write_json(tmp_path / "abhy.json", sample_abhy_kinematics(0).to_dict())
+    for command in (["chy"], ["crosscheck"], ["dihedral", "--check", "scattering"]):
+        for tol in ("nan", "-1", "0", "inf"):
+            code, err = run_main(*command, "--kinematics", abhy_point, "--tol", tol)
+            assert code == 2 and "validation error: tol must be" in err, (command, tol, err)
 
 
 def test_numerical_exit_code_on_pole(tmp_path):
