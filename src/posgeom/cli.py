@@ -493,6 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --tol goes into every manifest, which must stay valid JSON
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"validation error: tol must be finite and positive, got {args.tol}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     inputs: dict[str, str] = {}
     try:

@@ -264,6 +264,33 @@ def _convergence_check(f: EulerIntegrand, exponents: list[float], nu: list[float
                 )
 
 
+def _integrand_plan(f: EulerIntegrand, c: Sequence[float], exponents: Sequence[float]) -> list:
+    """Per form, its numeric exponent and its monomials as (offset,
+    [(variable, exponent) for the nonzero exponents])."""
+    return [
+        (s_k, [(c[i - 1], [(a, float(e)) for a, e in enumerate(mono) if e])
+               for mono, i in zip(form.monomials, form.coefficients)])
+        for form, s_k in zip(f.forms, exponents)
+    ]
+
+
+def _integrand_values(plan: list, alphas: list[np.ndarray]):
+    """prod_k form_k(alphas)^(s_k) by plain multiplies; powers only for
+    exponents above 1."""
+    total = 1.0
+    for s_k, terms in plan:
+        form_val = 0.0
+        for off, factors in terms:
+            term = off
+            for a, e in factors:
+                term = term * (alphas[a] if e == 1.0 else alphas[a] ** e)
+            form_val = form_val + term
+        if not isinstance(form_val, np.ndarray):  # a constant form
+            form_val = np.full_like(alphas[0], form_val)
+        total = total * form_val**s_k
+    return total
+
+
 def evaluate_euler(
     f: EulerIntegrand,
     c: Sequence[float],
@@ -278,7 +305,9 @@ def evaluate_euler(
     level integrates the next variable in one lane-batched quadrature, one
     lane per abscissa, with the outer Jacobians folded into the lane values
     so that the lanes' shared absolute tolerance is in units of the outer
-    integrand.
+    integrand.  The product of forms is planned once per call: each form's
+    offsets and nonzero monomial exponents, so that an integrand call is
+    plain multiplies, with powers only for exponents above 1.
     """
     params = dict(params or {})
     c = [float(v) for v in c]
@@ -290,11 +319,7 @@ def evaluate_euler(
     nu = [_expo_to_float(e, params) for e in f.prefactor]
     _convergence_check(f, exponents, nu)
 
-    coeff_arrays = []
-    for form in f.forms:
-        offsets = [c[i - 1] for i in form.coefficients]
-        coeff_arrays.append((np.array(offsets), [np.array(m, dtype=float) for m in form.monomials]))
-
+    plan = _integrand_plan(f, c, exponents)
     inv_nu = [1.0 / v for v in nu]
     jacobian = 1.0
     for v in nu:
@@ -312,19 +337,6 @@ def evaluate_euler(
     # a cap on p avoids astronomic dynamic range at the right endpoint
     ps = [min(6.0, max(2.0, 2.0 / q + 1.0)) for q in qs]
 
-    def integrand(alphas: list[np.ndarray]) -> np.ndarray:
-        total = np.ones_like(alphas[0])
-        for (offsets, monos), s_k in zip(coeff_arrays, exponents):
-            form_val = np.zeros_like(alphas[0])
-            for off, mono in zip(offsets, monos):
-                term = np.full_like(alphas[0], off)
-                for a in range(f.nvars):
-                    if mono[a]:
-                        term = term * alphas[a] ** mono[a]
-                form_val = form_val + term
-            total = total * form_val**s_k
-        return total
-
     def level_values(level: int, t: np.ndarray, fixed: list[np.ndarray], outer_jac: np.ndarray):
         """Integrand of variable `level` at abscissae t, integrated over the
         inner variables and times the outer Jacobians; fixed holds the outer
@@ -335,7 +347,7 @@ def evaluate_euler(
             alpha = (u**p) ** inv_nu[level]
             jac = outer_jac * p * u ** (p - 1.0) / (1.0 - t) ** 2
             if level == f.nvars - 1:
-                out = integrand(fixed + [alpha]) * jac
+                out = _integrand_values(plan, fixed + [alpha]) * jac
                 # the integrand tends to zero at both endpoints; rounding can
                 # evaluate it at t == 1 exactly, producing 0 * inf
                 return np.where(np.isfinite(out), out, 0.0)
@@ -455,18 +467,21 @@ def string_limit(
 
     Requires every planar variable positive (the convergence region: the
     exponent at each boundary then stays integrable, uniformly in eps after
-    the power substitution)."""
+    the power substitution).  The epsilons must be finite, positive and
+    pairwise distinct."""
     if k.n != 5:
         raise ValueError("the string limit is set up for n = 5")
+    xs = [float(e) for e in epsilons]
+    if not xs or not all(math.isfinite(e) and e > 0 for e in xs) or len(set(xs)) != len(xs):
+        raise ValueError(f"epsilons must be finite, positive and pairwise distinct, got {xs}")
     planar = planar_variables(k)
     if any(v <= 0 for v in planar.values()):
         raise DivergentIntegralError("string integral requires positive planar variables")
     values = []
-    for eps in epsilons:
+    for eps in xs:
         f = string_integrand(k, eps)
         values.append(eps * eps * evaluate_euler(f, [1.0] * 7, None, quad))
     # Neville extrapolation of the sample polynomial to eps = 0
-    xs = list(map(float, epsilons))
     table = list(values)
     m = len(table)
     for level in range(1, m):

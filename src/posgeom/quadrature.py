@@ -1,12 +1,20 @@
 """Adaptive quadrature of lanes of integrals over one interval, vectorized.
 
-Each panel is estimated by a Gauss-Legendre 21-point rule with the 10-point
-rule for the error estimate; G10 nodes are not a subset of G21 nodes, so a
-panel costs 31 evaluations.  Panels whose error exceeds their share of the
+Each panel is estimated by the 21-point Gauss-Kronrod rule K21, the Kronrod
+extension of the 10-point Gauss-Legendre rule G10: its 21 nodes include the
+10 G10 nodes, so a panel costs 21 evaluations and both rule sums come from
+one product with a (21, 2) weight matrix.  A panel's value is K21 and its
+error estimate |K21 - G10|.  Panels whose error exceeds their share of the
 tolerance are bisected, all pending panels being evaluated each round in
-integrand calls of at most _MAX_POINTS abscissae.  Nodes come from numpy at
-import time, so there are no hard-coded tables.  Endpoints are never
+integrand calls of at most _MAX_POINTS abscissae.  Endpoints are never
 evaluated, which lets integrable endpoint singularities through.
+
+Nodes and weights are built at import, so there are no hard-coded tables:
+G10 comes from numpy's leggauss, and K21 from Laurie's algorithm (Math.
+Comp. 66, 1997), which extends the Legendre recurrence coefficients to the
+Jacobi matrix of the Kronrod rule, whose eigenvalues are the nodes and whose
+first eigenvector components give the weights.  The G10 nodes are then
+taken from leggauss, so they are among the K21 nodes to the last bit.
 
 Lane contract of _lane_quad: f(x, lane) receives flat abscissae and the lane
 index of each, and returns values of the same shape.  Each lane refines its
@@ -16,13 +24,60 @@ largest |lane total|.  adaptive_quad is the one-lane case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+
+def _kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the (2n + 1)-point Gauss-Kronrod rule
+    on [-1, 1] by Laurie's algorithm; a and b hold the recurrence coefficients
+    alpha_k, beta_k at 1-based positions, as in the paper."""
+    a, b = np.zeros(2 * n + 3), np.zeros(2 * n + 3)
+    known = np.arange(1.0, 3 * n // 2 + 1)
+    b[1] = 2.0  # beta_0 is the total mass of the Legendre weight
+    b[2 : 3 * n // 2 + 2] = known**2 / (4 * known**2 - 1)
+    s, t = np.zeros(n // 2 + 3), np.zeros(n // 2 + 3)
+    t[2] = b[n + 2]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += (a[k + n + 2] - a[l + 1]) * t[k + 2] + b[k + n + 2] * s[k + 1] - b[l + 1] * s[k + 2]
+            s[k + 2] = u
+        s, t = t, s
+    s[2 : n // 2 + 3] = s[1 : n // 2 + 2].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u -= (a[k + n + 2] - a[l + 1]) * t[j + 2] + b[k + n + 2] * s[j + 2] - b[l + 1] * s[j + 3]
+            s[j + 2] = u
+        if m % 2 == 0:
+            k = m // 2
+            a[k + n + 2] = a[k + 1] + (s[j + 2] - b[k + n + 2] * s[j + 3]) / t[j + 3]
+        else:
+            k = (m + 1) // 2
+            b[k + n + 2] = s[j + 2] / s[j + 3]
+        s, t = t, s
+    a[2 * n + 1] = a[n] - b[2 * n + 1] * s[2] / t[2]
+    off = np.sqrt(b[2 : 2 * n + 2])
+    nodes, vecs = np.linalg.eigh(np.diag(a[1 : 2 * n + 2]) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, b[1] * vecs[0] ** 2
+
+
 _XG10, _WG10 = np.polynomial.legendre.leggauss(10)
-_XG21, _WG21 = np.polynomial.legendre.leggauss(21)
-_NODES = np.concatenate([_XG10, _XG21])
+_NODES, _WK21 = _kronrod(10)
+# the Kronrod nodes interlace the Gauss nodes; make the rule exactly symmetric
+_NODES[0::2] = 0.5 * (_NODES[0::2] - _NODES[-1::-2])
+_NODES[1::2] = _XG10
+_WK21 = 0.5 * (_WK21 + _WK21[::-1])
+# columns: K21 weights, G10 weights (zero at the Kronrod-only nodes)
+_WEIGHTS = np.zeros((len(_NODES), 2))
+_WEIGHTS[:, 0] = _WK21
+_WEIGHTS[1::2, 1] = _WG10
 _ABS_TOL = 1e-300
 # abscissae per integrand call: bounds the working set of nested integrands
 _MAX_POINTS = 4096
@@ -38,6 +93,14 @@ class QuadConfig:
     rel_tol: float = 1e-8
     max_depth: int = 48
     max_intervals: int = 20000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.max_intervals < 1:
+            raise ValueError(f"max_intervals must be >= 1, got {self.max_intervals}")
 
     def doubled(self) -> "QuadConfig":
         """Config for self-convergence checks: twice the depth, tighter tol."""
@@ -55,9 +118,8 @@ def adaptive_quad(f, a: float, b: float, config: QuadConfig = QuadConfig()) -> f
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray, lane: np.ndarray):
-    """G21 value and |G21 - G10| of every panel."""
-    g10 = np.empty(len(lo))
-    g21 = np.empty(len(lo))
+    """K21 value and |K21 - G10| of every panel."""
+    sums = np.empty((len(lo), 2))
     for start in range(0, len(lo), _PANELS_PER_CALL):
         part = slice(start, start + _PANELS_PER_CALL)
         half = 0.5 * (hi[part] - lo[part])
@@ -65,9 +127,8 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, lane: np.ndarray):
         vals = f(x.ravel(), np.repeat(lane[part], len(_NODES))).reshape(x.shape)
         if not np.isfinite(vals).all():
             raise QuadratureError("integrand produced non-finite values")
-        g10[part] = vals[:, : len(_XG10)] @ _WG10 * half
-        g21[part] = vals[:, len(_XG10) :] @ _WG21 * half
-    return g21, np.abs(g21 - g10)
+        sums[part] = vals @ _WEIGHTS * half[:, None]
+    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
 
 
 def _lane_quad(f, nlanes: int, a: float, b: float, config: QuadConfig) -> np.ndarray:

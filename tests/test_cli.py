@@ -147,10 +147,22 @@ def test_validation_exit_code(tmp_path):
         ("gkz", "--integrand",
          write_json(tmp_path / "expo.json", with_slot(INTEGRAND, ("forms", 1, "monomials", 0, 0), True))),
     ]
+    # string-limit epsilons must be positive and pairwise distinct
+    positive_point = write_json(tmp_path / "k5pos.json", sample_kinematics(5, 1, positive=True).to_dict())
+    cases += [("string-limit", "--kinematics", positive_point, "--eps", eps) for eps in ("0.2,0.2,0.05", "0", "-0.1")]
+    # --tol goes into every manifest, so it must be finite and positive
+    cases += [
+        ("sample-kinematics", "--n", "5", "--seed", "1", "--tol", "nan"),
+        ("amplitude", "--kinematics", five_point, "--tol", "inf"),
+        ("signature", "--path", write_json(tmp_path / "path.json", {"points": [[0, 0], [1, 2]]}), "--tol", "-1"),
+    ]
     for args in cases:
-        code, err = run_main(*args)
-        assert code == 2, (args, err)
-        assert "validation error" in err, (args, err)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(args))
+        assert code == 2, (args, err.getvalue())
+        assert "validation error" in err.getvalue(), (args, err.getvalue())
+        assert out.getvalue() == "", args
     # roots are verified against --tol, so it must be finite and positive
     abhy_point = write_json(tmp_path / "abhy.json", sample_abhy_kinematics(0).to_dict())
     for command in (["chy"], ["crosscheck"], ["dihedral", "--check", "scattering"]):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from posgeom.exact import Polynomial
@@ -15,8 +16,10 @@ from posgeom.gkz import (
     evaluate_euler,
     gkz_operators,
     restricted_integrand,
+    string_integrand,
     string_limit,
 )
+from posgeom.gkz import _integrand_plan, _integrand_values
 from posgeom.kinematics import kinematics_from_planar, polygon_diagonals
 from posgeom.quadrature import QuadConfig, QuadratureError
 
@@ -187,3 +190,58 @@ def test_string_limit_self_convergence():
     a = string_limit(k, (0.1,), QuadConfig(rel_tol=1e-8))
     b = string_limit(k, (0.1,), QuadConfig(rel_tol=1e-10, max_depth=96))
     assert abs(a.values[0] - b.values[0]) / abs(a.values[0]) < 1e-6
+
+
+@pytest.mark.parametrize("eps", [(), (0.2, 0.2, 0.05), (0.0,), (0.2, -0.1), (0.1, math.nan), (math.inf, 0.1)])
+def test_string_limit_rejects_bad_epsilons(eps):
+    k = moderate_positive_kinematics(0)
+    with pytest.raises(ValueError, match="epsilons"):
+        string_limit(k, eps)
+
+
+def reference_integrand(f, c, exponents, alphas):
+    """The product of forms as evaluate_euler computed it before the plan."""
+    coeff_arrays = []
+    for form in f.forms:
+        offsets = [c[i - 1] for i in form.coefficients]
+        coeff_arrays.append((np.array(offsets), [np.array(m, dtype=float) for m in form.monomials]))
+    total = np.ones_like(alphas[0])
+    for (offsets, monos), s_k in zip(coeff_arrays, exponents):
+        form_val = np.zeros_like(alphas[0])
+        for off, mono in zip(offsets, monos):
+            term = np.full_like(alphas[0], off)
+            for a in range(f.nvars):
+                if mono[a]:
+                    term = term * alphas[a] ** mono[a]
+            form_val = form_val + term
+        total = total * form_val**s_k
+    return total
+
+
+def test_integrand_plan_is_bit_identical():
+    rng = np.random.default_rng(7)
+    dirichlet3 = EulerIntegrand(
+        3, (LinearForm(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, 2, 3, 4), F(-5)),), (F(1),) * 3
+    )
+    # squares and cubes take the power path; the second form is constant
+    powers = EulerIntegrand(
+        2,
+        (LinearForm(((2, 1), (0, 3), (0, 0)), (1, 2, 3), F(-3, 2)), LinearForm(((0, 0),), (4,), F(-7, 3))),
+        (F(1), F(1)),
+    )
+    cases = [
+        (BLUEPRINT, {"eps": 0.25}),
+        (string_integrand(moderate_positive_kinematics(2), 0.1), {}),
+        (dirichlet3, {}),
+        (powers, {}),
+    ]
+    for f, params in cases:
+        exponents = [float(form.exponent.evaluate({v: F(params[v]) for v in form.exponent.vars}))
+                     if isinstance(form.exponent, Polynomial) else float(form.exponent) for form in f.forms]
+        for _ in range(5):
+            c = list(rng.uniform(0.1, 3.0, f.ncoeffs))
+            alphas = [10.0 ** rng.uniform(-6, 6, 200) for _ in range(f.nvars)]
+            got = _integrand_values(_integrand_plan(f, c, exponents), alphas)
+            want = reference_integrand(f, c, exponents, alphas)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)

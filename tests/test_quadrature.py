@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posgeom.quadrature import QuadConfig, QuadratureError, _lane_quad, adaptive_quad
+from posgeom.quadrature import _NODES, _WEIGHTS, QuadConfig, QuadratureError, _lane_quad, adaptive_quad
 
 # smooth integrands of different magnitudes; several need bisection rounds
 LANES = [
@@ -36,3 +36,64 @@ def test_one_failing_lane_raises():
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+def test_kronrod_nodes_contain_the_gauss_nodes_exactly():
+    g10 = np.polynomial.legendre.leggauss(10)[0]
+    assert len(_NODES) == 21
+    assert set(g10.tolist()) <= set(_NODES.tolist())
+
+
+def test_kronrod_weights_positive_and_sum_to_two():
+    assert (_WEIGHTS[:, 0] > 0).all()
+    assert abs(_WEIGHTS[:, 0].sum() - 2) < 1e-14
+    assert abs(_WEIGHTS[:, 1].sum() - 2) < 1e-14
+
+
+def test_kronrod_rule_exact_through_degree_31():
+    def moment_error(k):
+        return abs(_NODES**k @ _WEIGHTS[:, 0] - (2 / (k + 1) if k % 2 == 0 else 0))
+
+    assert max(moment_error(k) for k in range(32)) < 1e-14
+    assert moment_error(32) > 1e-14
+
+
+def test_kronrod_rule_matches_published_qk21_values():
+    # QUADPACK qk21: nodes xgk and weights wgk on [0, 1)
+    published = [
+        (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
+        (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
+        (0.433395394129247190799265943165784, 0.134709217311473325928054001771707),
+        (0.0, 0.149445554002916905664936468389821),
+    ]
+    for x, w in published:
+        i = np.abs(_NODES - x).argmin()
+        assert abs(_NODES[i] - x) < 1e-14 and abs(_WEIGHTS[i, 0] - w) < 1e-14
+        j = np.abs(_NODES + x).argmin()
+        assert abs(_NODES[j] + x) < 1e-14 and abs(_WEIGHTS[j, 0] - w) < 1e-14
+
+
+def test_one_panel_costs_21_evaluations():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x**2
+
+    assert adaptive_quad(f, 0.0, 1.0) == pytest.approx(1 / 3, rel=1e-14)
+    assert calls == [21]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(rel_tol=float("nan")), dict(rel_tol=0.0), dict(rel_tol=-1.0), dict(rel_tol=float("inf")),
+     dict(max_depth=-1), dict(max_intervals=0)],
+)
+def test_config_rejects_values_it_cannot_honour(config):
+    with pytest.raises(ValueError):
+        QuadConfig(**config)
+
+
+def test_doubled_config_is_valid():
+    assert QuadConfig().doubled() == QuadConfig(1e-10, 96, 80000)
+    assert adaptive_quad(np.exp, 0.0, 1.0, QuadConfig(max_depth=0)) == pytest.approx(np.e - 1, rel=1e-14)
