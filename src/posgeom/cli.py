@@ -53,6 +53,13 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is beyond the float range")
+    return x
+
+
 def _load_json(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
@@ -60,7 +67,7 @@ def _load_json(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+        data = json.loads(raw.decode("utf-8"), parse_float=_finite_float, parse_constant=_reject_constant)
     except (UnicodeDecodeError, ValueError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and set(data) == {"manifest", "result"}:
@@ -254,6 +261,8 @@ def cmd_canonical_form(args, inputs):
         poly = Polytope.from_dict(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{args.polytope}: {exc}") from exc
+    if poly.dim > 2:
+        raise ValidationError("canonical_function implemented for dim <= 2")
     num, den = canonical_parts(poly)
     return {
         "polytope": poly.to_dict(),
@@ -281,10 +290,9 @@ def cmd_abhy(args, inputs):
 
 def cmd_dihedral(args, inputs):
     if args.check == "u-equations":
-        report = verify_u_equations(args.n, seed=args.seed)
+        report = verify_u_equations(args.n)
         return {
             "n": report.n,
-            "experimental": report.experimental,
             "identities": [
                 {
                     "diagonal": "{}-{}".format(*e.diagonal),

@@ -2,27 +2,25 @@
 points on the line.
 
 The dihedral coordinate of a polygon diagonal (i, j) is the cross-ratio
-u_ij = [i, i+1 | j+1, j] built from the chart minors; on the five-point
-space the chart embeds into (C*)^5 cut out by five binary relations
-u_D + prod of u over crossing diagonals = 1, which this module verifies as
-exact rational-function identities.  The same relations at six points are
-only checked by exact evaluation at random chart points and are reported as
-experimental.  The five-point scattering equations transform, in these
-coordinates, into the vanishing of X^T M(u) for an explicit 5 x 5 matrix;
-the residual of that product at numerically solved critical points is the
-bridge checked against the solver.
+u_ij = [i, i+1 | j+1, j] built from the chart minors; the u satisfy one
+binary relation u_D + prod of u over crossing diagonals = 1 per diagonal
+(on the five-point space they cut the chart out of (C*)^5), which this
+module verifies as exact rational-function identities at every n >= 4.
+The five-point scattering equations transform, in these coordinates, into
+the vanishing of X^T M(u) for an explicit 5 x 5 matrix; the residual of
+that product at numerically solved critical points is the bridge checked
+against the solver.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .chy import CriticalPoint, minors, moduli_coordinates
-from .exact import PoleError, Polynomial, RationalFunction
+from .exact import Polynomial, RationalFunction
 from .kinematics import Diagonal, KinematicData, dihedral_exponents, polygon_diagonals
 from .trees import crossing
 
@@ -63,13 +61,11 @@ class UEquationEntry:
     diagonal: Diagonal
     crossing: tuple[Diagonal, ...]
     passed: bool
-    max_deviation: Fraction | None  # None for the exact symbolic check
 
 
 @dataclass(frozen=True)
 class UEquationReport:
     n: int
-    experimental: bool
     entries: tuple[UEquationEntry, ...]
 
     @property
@@ -77,50 +73,21 @@ class UEquationReport:
         return all(e.passed for e in self.entries)
 
 
-def verify_u_equations(n: int, samples: int = 100, seed: int = 0) -> UEquationReport:
-    """Check u_D + prod over crossing diagonals of u = 1 for every diagonal.
-
-    n = 5: exact rational-function identities.  n = 6: exact evaluation at
-    random non-degenerate rational chart points, flagged experimental since
-    only the five-point relations are certified here.
-    """
-    if n not in (5, 6):
-        raise ValueError("u-equations implemented for n in {5, 6}")
+def verify_u_equations(n: int) -> UEquationReport:
+    """Check u_D + prod over crossing diagonals of u = 1 for every diagonal,
+    as exact rational-function identities in the chart coordinates."""
+    if n < 4:
+        raise ValueError("u-equations need n >= 4")
     chart = dihedral_chart(n)
-    coords = moduli_coordinates(n)
     entries = []
-    if n == 5:
-        for d in polygon_diagonals(5):
-            cross = tuple(crossing_diagonals(d, 5))
-            product = RationalFunction.const(1)
-            for e in cross:
-                product = product * chart[e]
-            identity = chart[d] + product
-            entries.append(
-                UEquationEntry(d, cross, identity == RationalFunction.const(1), None)
-            )
-        return UEquationReport(5, False, tuple(entries))
-
-    rng = random.Random(seed)
-    worst: dict[Diagonal, Fraction] = {d: Fraction(0) for d in polygon_diagonals(6)}
-    produced = 0
-    while produced < samples:
-        point = {v: Fraction(rng.randint(1, 400), 100) for v in coords}
-        try:
-            values = {d: chart[d].evaluate(point) for d in polygon_diagonals(6)}
-        except PoleError:
-            continue
-        produced += 1
-        for d in polygon_diagonals(6):
-            product = Fraction(1)
-            for e in crossing_diagonals(d, 6):
-                product *= values[e]
-            deviation = abs(values[d] + product - 1)
-            worst[d] = max(worst[d], deviation)
-    for d in polygon_diagonals(6):
-        cross = tuple(crossing_diagonals(d, 6))
-        entries.append(UEquationEntry(d, cross, worst[d] == 0, worst[d]))
-    return UEquationReport(6, True, tuple(entries))
+    for d in polygon_diagonals(n):
+        cross = tuple(crossing_diagonals(d, n))
+        product = RationalFunction.const(1)
+        for e in cross:
+            product = product * chart[e]
+        identity = chart[d] + product
+        entries.append(UEquationEntry(d, cross, identity == RationalFunction.const(1)))
+    return UEquationReport(n, tuple(entries))
 
 
 # order of the exponent vector and of the matrix rows/columns

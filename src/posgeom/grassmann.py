@@ -24,14 +24,11 @@ from itertools import combinations
 from typing import Sequence
 
 from .exact import det, solve_linear
+from .polytope import _fracvec, cone_facet_normals
 
 Vector = tuple[Fraction, ...]
 
 PLUECKER_ORDER: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
-def _fracvec(v: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -195,30 +192,14 @@ _CONE_FACETS_CACHE_SIZE = 32
 
 
 def cone_facets(z: ZMatrix) -> list[Vector]:
-    """Inward normals of the cone over the configuration: brute force over
-    vertex triples with orientation checks (exact)."""
+    """Inward normals of the cone over the configuration (exact), in the
+    order the shared facet search finds them."""
     return list(_cone_facets(z))
 
 
 @functools.lru_cache(maxsize=_CONE_FACETS_CACHE_SIZE)
 def _cone_facets(z: ZMatrix) -> tuple[Vector, ...]:
-    normals = []
-    for subset in combinations(range(1, z.n + 1), 3):
-        rows = [list(z.row(i)) for i in subset]
-        sol = solve_linear(rows)
-        if len(sol.kernel) != 1:
-            continue
-        normal = sol.kernel[0]
-        sides = [sum(Fraction(nv) * rv for nv, rv in zip(normal, z.row(i))) for i in range(1, z.n + 1)]
-        if all(s >= 0 for s in sides):
-            oriented = tuple(Fraction(v) for v in normal)
-        elif all(s <= 0 for s in sides):
-            oriented = tuple(-Fraction(v) for v in normal)
-        else:
-            continue
-        if oriented not in normals:
-            normals.append(oriented)
-    return tuple(normals)
+    return tuple(cone_facet_normals(z.rows))
 
 
 def stabs(line, z: ZMatrix) -> bool:

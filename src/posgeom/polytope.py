@@ -1,9 +1,16 @@
 """Polytopes with exact rational data and their canonical functions.
 
-A polytope carries both an H-representation (irredundant facets a.x <= b)
-and a V-representation (irredundant vertices); conversions are brute-force
-subset enumeration with exact arithmetic, which is entirely adequate at
-desk scale (dimension <= 3, a handful of facets).
+A polytope carries both an H-representation (irredundant facets a.x <= b,
+(a, b) primitive integers) and a V-representation (irredundant vertices),
+built by exact subset enumeration.  One facet search serves every cone:
+cone_facet_normals takes the kernel of each k - 1 rows and keeps it when
+all rows lie on one side.  from_vertices runs it on the rows (p, -1);
+the positive configurations of grassmann.py run it on their own rows.
+from_halfspaces enumerates vertices over d-subsets of the halfspaces and
+keeps as facets the input halfspaces whose tight vertices span a
+hyperplane, so it never searches vertex subsets; the ABHY associahedron at
+seven points (14 halfspaces in dimension 4, 42 vertices) builds in well
+under a second.
 
 The canonical function adopted here is d! * vol((P - x) polar), i.e. the
 normalized dual volume.  For a simplex it is the closed form
@@ -31,6 +38,7 @@ from typing import Mapping, Sequence
 from .exact import (
     Polynomial,
     RationalFunction,
+    _integer_row,
     det,
     matrix_rank,
     solve_linear,
@@ -46,6 +54,26 @@ def _fracvec(v: Sequence) -> Vector:
 
 def _dot(a: Sequence, x: Sequence) -> Fraction:
     return sum((u * v for u, v in zip(a, x)), Fraction(0))
+
+
+def cone_facet_normals(rows: Sequence[Sequence]) -> list[Vector]:
+    """Inward facet normals w (w.r >= 0 for every row) of the cone over rows
+    spanning R^k, in discovery order and without duplicates.
+
+    Each normal is the primitive integer kernel vector of k - 1 rows, taken
+    when that kernel is one-dimensional and every row lies on one side."""
+    normals: dict[Vector, None] = {}
+    for subset in combinations(rows, len(rows[0]) - 1):
+        kernel = solve_linear(subset).kernel
+        if len(kernel) != 1:
+            continue
+        w = _fracvec(kernel[0])
+        sides = [_dot(w, r) for r in rows]
+        if all(s >= 0 for s in sides):
+            normals[w] = None
+        elif all(s <= 0 for s in sides):
+            normals[tuple(-x for x in w)] = None
+    return list(normals)
 
 
 @dataclass(frozen=True)
@@ -65,24 +93,15 @@ class Polytope:
         d = len(points[0])
         if any(len(p) != d for p in points):
             raise ValueError("points of mixed dimension")
+        if d == 0:
+            raise ValueError("points of dimension 0")
         base = points[0]
         if matrix_rank([[p[i] - base[i] for i in range(d)] for p in points[1:]]) < d:
             raise ValueError("point set is lower-dimensional")
 
-        facets: set[Facet] = set()
-        for subset in combinations(points, d):
-            sol = solve_linear([list(p) + [-1] for p in subset])
-            if len(sol.kernel) != 1:
-                continue
-            cand = sol.kernel[0]
-            a, b = _fracvec(cand[:d]), Fraction(cand[d])
-            sides = {_dot(a, p) - b for p in points}
-            if all(s <= 0 for s in sides):
-                facets.add((a, b))
-            elif all(s >= 0 for s in sides):
-                facets.add((tuple(-v for v in a), -b))
-
-        facet_list = tuple(sorted(facets))
+        # w.(p, -1) >= 0 for every point is the facet a.x <= b with (a, b) = -w
+        normals = cone_facet_normals([(*p, -1) for p in points])
+        facet_list = tuple(sorted((tuple(-x for x in w[:d]), -w[d]) for w in normals))
         vertices = []
         for p in points:
             active = [a for (a, b) in facet_list if _dot(a, p) == b]
@@ -96,6 +115,10 @@ class Polytope:
         if not hs:
             raise ValueError("no halfspaces given")
         d = len(hs[0][0])
+        if any(len(a) != d for a, _ in hs):
+            raise ValueError("halfspaces of mixed dimension")
+        if d == 0:
+            raise ValueError("halfspaces of dimension 0")
         if d == 1:
             if not any(a[0] > 0 for a, _ in hs) or not any(a[0] < 0 for a, _ in hs):
                 raise ValueError("unbounded halfline")
@@ -118,7 +141,20 @@ class Polytope:
                 verts.add(tuple(x))
         if not verts:
             raise ValueError("halfspace intersection is empty")
-        return cls.from_vertices(sorted(verts))
+        if matrix_rank([(*v, 1) for v in verts]) <= d:
+            raise ValueError("point set is lower-dimensional")
+
+        # an input halfspace is a facet when its tight vertices span a
+        # hyperplane; scaled to primitive integers it is the facet that
+        # from_vertices finds for the same polytope
+        facets: set[Facet] = set()
+        for a, b in hs:
+            tight = [(*v, 1) for v in verts if _dot(a, v) == b]
+            if matrix_rank(tight) == d:
+                ints, _ = _integer_row((*a, b))
+                g = math.gcd(*ints)
+                facets.add((tuple(Fraction(x // g) for x in ints[:d]), Fraction(ints[d] // g)))
+        return cls(d, tuple(sorted(facets)), tuple(sorted(verts)))
 
     # ----------------------------------------------------------- predicates
     def contains(self, x: Sequence, strict: bool = False) -> bool:

@@ -147,6 +147,23 @@ def test_validation_exit_code(tmp_path):
         ("gkz", "--integrand",
          write_json(tmp_path / "expo.json", with_slot(INTEGRAND, ("forms", 1, "monomials", 0, 0), True))),
     ]
+    # malformed polytopes: H rows of the wrong length, an empty point, a
+    # number beyond the float range, and a dimension the fan cannot handle
+    square = [{"a": ["1", "0"], "b": "1"}, {"a": ["0", "1"], "b": "1"}, {"a": ["0", "-1"], "b": "0"}]
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"V": [[1e400, 0], [0, 1], [0, 0]]}')
+    cube = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    polytopes = [
+        {"H": square + [{"a": ["-1"], "b": "0"}]},
+        {"H": square + [{"a": ["-1", "0", "5"], "b": "0"}]},
+        {"V": [[]]},
+        {"V": cube},
+    ]
+    cases += [
+        ("canonical-form", "--polytope", write_json(tmp_path / f"poly{i}.json", data))
+        for i, data in enumerate(polytopes)
+    ]
+    cases.append(("canonical-form", "--polytope", str(huge)))
     # string-limit epsilons must be positive and pairwise distinct
     positive_point = write_json(tmp_path / "k5pos.json", sample_kinematics(5, 1, positive=True).to_dict())
     cases += [("string-limit", "--kinematics", positive_point, "--eps", eps) for eps in ("0.2,0.2,0.05", "0", "-0.1")]

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from posgeom.chy import minors, solve_scattering
+from posgeom.chy import minors, moduli_coordinates, solve_scattering
 from posgeom.dihedral import (
     X_ORDER,
     chart_values,
@@ -49,7 +49,6 @@ def test_cross_ratio_index_clash():
 
 def test_u_equations_exact_n5():
     report = verify_u_equations(5)
-    assert not report.experimental
     assert report.all_passed
     assert len(report.entries) == 5
     # the crossing structure pairs each diagonal with exactly two others
@@ -71,11 +70,27 @@ def test_binary_limit():
     assert chart[(1, 3)].evaluate(point) == 1
 
 
-def test_u_equations_n6_experimental():
-    report = verify_u_equations(6, samples=100, seed=0)
-    assert report.experimental
+@pytest.mark.parametrize("n", [4, 6, 7])
+def test_u_equations_exact_beyond_five(n):
+    report = verify_u_equations(n)
+    assert report.n == n
     assert report.all_passed
-    assert all(entry.max_deviation == 0 for entry in report.entries)
+    assert [e.diagonal for e in report.entries] == polygon_diagonals(n)
+    for entry in report.entries:
+        # (i, j) splits the other n - 2 vertices into j-i-1 and n-j+i-1
+        i, j = entry.diagonal
+        assert len(entry.crossing) == (j - i - 1) * (n - j + i - 1)
+    # one rational chart point, evaluated exactly
+    chart = dihedral_chart(n)
+    point = {v: F(k + 2, 7) for k, v in enumerate(moduli_coordinates(n))}
+    u = {d: f.evaluate(point) for d, f in chart.items()}
+    for entry in report.entries:
+        assert u[entry.diagonal] + math.prod(u[e] for e in entry.crossing) == 1
+
+
+def test_u_equations_need_four_points():
+    with pytest.raises(ValueError):
+        verify_u_equations(3)
 
 
 def test_chart_injectivity():

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from posgeom.exact import PoleError, RationalFunction, det, rf_equal
+from posgeom.kinematics import kinematics_from_planar, polygon_diagonals
 from posgeom.polytope import (
     Polytope,
     abhy_facet_forms,
@@ -13,10 +16,12 @@ from posgeom.polytope import (
     adjoint,
     canonical_function,
     canonical_vertex_sum,
+    cone_facet_normals,
     dual_volume_oracle,
     polar_dual,
     simplex_canonical,
 )
+from posgeom.trees import tree_amplitude
 
 
 def moment_polygon(seed, nvert, spread=12):
@@ -129,11 +134,59 @@ def test_adjoint_positive_inside():
     assert adjoint(poly).evaluate({"x1": x0[0], "x2": x0[1]}) > 0
 
 
+def random_polytope(rng, d):
+    while True:
+        count = d + 1 + rng.randint(0, 4)
+        points = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)) for _ in range(count)]
+        try:
+            return Polytope.from_vertices(points)
+        except ValueError:  # a lower-dimensional draw
+            continue
+
+
+def redundant_halfspaces(poly, rng):
+    """H-data of poly that is not its facet list: each facet scaled by a
+    positive rational and some repeated, plus valid halfspaces that are no
+    facets (sums of two facets, tight on a lower face or nowhere, and
+    shifted facets), shuffled."""
+    hs = []
+    for a, b in poly.facets:
+        s = F(rng.randint(1, 9), rng.randint(1, 4))
+        hs.append((tuple(s * x for x in a), s * b))
+        if rng.random() < 0.3:
+            hs.append((a, b))
+        if rng.random() < 0.3:
+            hs.append((a, b + rng.randint(1, 3)))
+    for _ in range(3):
+        (a1, b1), (a2, b2) = rng.sample(poly.facets, 2)
+        hs.append((tuple(x + y for x, y in zip(a1, a2)), b1 + b2))
+    rng.shuffle(hs)
+    return hs
+
+
 def test_hrep_vrep_roundtrip():
-    for seed in range(10):
-        poly = moment_polygon(seed, 5)
-        again = Polytope.from_halfspaces(poly.facets)
-        assert again == poly
+    polytopes = [moment_polygon(seed, 5) for seed in range(10)]
+    polytopes += [random_polytope(random.Random(seed), d) for d in (1, 2, 3) for seed in range(10)]
+    for seed, poly in enumerate(polytopes):
+        assert Polytope.from_halfspaces(poly.facets) == poly
+        assert Polytope.from_halfspaces(redundant_halfspaces(poly, random.Random(seed))) == poly
+
+
+@st.composite
+def full_dimensional_polytopes(draw):
+    d = draw(st.integers(1, 3))
+    coords = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=d + 1, max_size=d + 5))
+    try:
+        return Polytope.from_vertices(points)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(full_dimensional_polytopes(), st.integers(0, 2**32))
+def test_hrep_vrep_roundtrip_property(poly, seed):
+    assert Polytope.from_halfspaces(redundant_halfspaces(poly, random.Random(seed))) == poly
 
 
 def test_from_halfspaces_unbounded_and_empty():
@@ -143,6 +196,60 @@ def test_from_halfspaces_unbounded_and_empty():
         Polytope.from_halfspaces(
             [((F(1), F(0)), F(-1)), ((F(-1), F(0)), F(-1)), ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(1))]
         )
+
+
+def test_malformed_polytope_data():
+    square = [((1, 0), 1), ((0, 1), 1), ((-1, 0), 0), ((0, -1), 0)]
+    for bad in ([((-1,), 0)], [((-1, 0, 5), 0)]):
+        with pytest.raises(ValueError, match="mixed dimension"):
+            Polytope.from_halfspaces(square + bad)
+    with pytest.raises(ValueError, match="dimension 0"):
+        Polytope.from_halfspaces([((), 1)])
+    with pytest.raises(ValueError, match="dimension 0"):
+        Polytope.from_vertices([()])
+    with pytest.raises(ValueError, match="lower-dimensional"):
+        Polytope.from_halfspaces(square + [((1, -1), 0), ((-1, 1), 0)])
+
+
+def test_cone_facet_normals_discovery_order():
+    # cone over a square; the repeated and the interior row change nothing
+    rows = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, 1), (0, 0, 1), (-1, -1, 1)]
+    assert cone_facet_normals(rows) == [(-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)]
+
+
+def abhy_halfspaces(n, rng):
+    """{X_D >= 0} as halfspaces in the basis X_13, ..., X_1(n-1), with each
+    X_ij from the mesh relation X_{i+1,j+1} = c_ij + X_{i,j+1} + X_{i+1,j} - X_ij
+    at random positive rational c (X on polygon edges and X_1n are 0).
+    Returns the halfspaces and the forms {D: (coefficients, constant)}."""
+    basis = [(1, j) for j in range(3, n)]
+    forms = {(1, j): (tuple(int(e == (1, j)) for e in basis), F(0)) for j in range(3, n)}
+    zero = (tuple(0 for _ in basis), F(0))
+
+    def x(i, j):
+        return zero if j == i + 1 or (i, j) == (1, n) else forms[(i, j)]
+
+    for i in range(1, n - 2):
+        for j in range(i + 2, n):
+            (up, cu), (left, cl), (diag, cd) = x(i, j + 1), x(i + 1, j), x(i, j)
+            c = F(rng.randint(1, 9), rng.randint(1, 4))
+            forms[(i + 1, j + 1)] = (tuple(p + q - r for p, q, r in zip(up, left, diag)), c + cu + cl - cd)
+    assert sorted(forms) == polygon_diagonals(n)
+    return [(tuple(-v for v in coeffs), const) for coeffs, const in forms.values()], forms
+
+
+@pytest.mark.parametrize("n, facets, vertices", [(6, 9, 14), (7, 14, 42)])
+def test_abhy_associahedron_from_halfspaces(n, facets, vertices):
+    halfspaces, forms = abhy_halfspaces(n, random.Random(n))
+    p = Polytope.from_halfspaces(halfspaces)
+    assert (p.dim, len(p.facets), len(p.vertices)) == (n - 3, facets, vertices)
+    assert p.is_simple()
+    if n == 6:
+        y = interior_point(p, 0)
+        planar = {d: sum(c * v for c, v in zip(coeffs, y)) + const for d, (coeffs, const) in forms.items()}
+        assert all(v > 0 for v in planar.values())
+        value = canonical_vertex_sum(p).evaluate(dict(zip(("x1", "x2", "x3"), y)))
+        assert value == tree_amplitude(kinematics_from_planar(6, planar))
 
 
 def test_abhy_pentagon_unit_constants():
