@@ -11,6 +11,7 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -288,8 +289,14 @@ def cmd_abhy(args, inputs):
     }
 
 
+# verify_u_equations takes 0.7 s at n = 7 and 9 s at n = 8, growing fast
+MAX_U_EQUATIONS_N = 8
+
+
 def cmd_dihedral(args, inputs):
     if args.check == "u-equations":
+        if not 4 <= args.n <= MAX_U_EQUATIONS_N:
+            raise ValidationError(f"--n must be between 4 and {MAX_U_EQUATIONS_N} for u-equations, got {args.n}")
         report = verify_u_equations(args.n)
         return {
             "n": report.n,
@@ -498,9 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # --tol goes into every manifest, which must stay valid JSON
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"validation error: tol must be finite and positive, got {args.tol}", file=sys.stderr)

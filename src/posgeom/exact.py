@@ -14,12 +14,19 @@ cross-multiplication, so full multivariate gcd reduction is never needed.
 Inner loops run on integers and results are Fractions.  One lcm scaling
 turns a row of rationals into integers over a common denominator.  The
 polynomial product convolves the scaled coefficients of its operands and
-divides by the product of their scales once per output term.  Linear
-algebra scales each row and runs one fraction-free (Bareiss) elimination,
-which serves the determinant, the rank and the solver alike: every
-intermediate entry is a minor of the scaled input, so no rational
+divides by the product of their scales once per output term.  Exact
+division runs the long division on the scaled dividend and the primitive
+part of the scaled divisor, whose quotient is integral by Gauss's lemma.
+Linear algebra scales each row and runs one fraction-free (Bareiss)
+elimination, which serves the determinant, the rank and the solver alike:
+every intermediate entry is a minor of the scaled input, so no rational
 arithmetic happens until back-substitution (Bareiss, Math. Comp. 22,
 1968).
+
+The Polynomial constructor checks and cleans outside input: it sorts the
+variables, converts the coefficients and drops zero terms.  Sums,
+products, negations, embeddings and quotients build clean terms
+themselves and go through a trusted constructor that skips those checks.
 """
 
 from __future__ import annotations
@@ -76,6 +83,16 @@ class Polynomial:
         object.__setattr__(self, "vars", svars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _clean(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "Polynomial":
+        """Trusted construction from terms that are already clean: variables
+        name-sorted and distinct, keys of matching length, Fraction values
+        and no zero terms.  The arithmetic below builds its results so."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("Polynomial is immutable")
 
@@ -126,7 +143,7 @@ class Polynomial:
             for v, e in zip(self.vars, expo):
                 key[pos[v]] = e
             terms[tuple(key)] = coeff
-        return Polynomial(new_vars, terms)
+        return Polynomial._clean(new_vars, terms)
 
     @staticmethod
     def aligned(p: "Polynomial", q: "Polynomial"):
@@ -145,13 +162,18 @@ class Polynomial:
         a, b = Polynomial.aligned(self, other)
         terms = dict(a.terms)
         for expo, coeff in b.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return Polynomial(a.vars, terms)
+            if expo in terms:
+                coeff += terms[expo]
+                if not coeff:
+                    del terms[expo]
+                    continue
+            terms[expo] = coeff
+        return Polynomial._clean(a.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -166,7 +188,9 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.vars, {e: k * c for e, k in self.terms.items()})
+            if not c:
+                return Polynomial._clean(self.vars, {})
+            return Polynomial._clean(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = Polynomial.aligned(self, other)
@@ -179,7 +203,7 @@ class Polynomial:
                 key = tuple(x + y for x, y in zip(ea, eb))
                 acc[key] = acc.get(key, 0) + ca * cb
         l = la * lb
-        return Polynomial(a.vars, {e: Fraction(c, l) for e, c in acc.items() if c})
+        return Polynomial._clean(a.vars, {e: Fraction(c, l) for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -268,25 +292,34 @@ class Polynomial:
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         a, b = Polynomial.aligned(self, divisor)
-        lead_b = max(b.terms, key=_grlex_key)
-        cb = b.terms[lead_b]
-        rem = dict(a.terms)
-        quo: dict[Exponent, Fraction] = {}
+        # self = ia / la and divisor = g * ib / lb with ib primitive; by
+        # Gauss's lemma ib divides ia in Z[x] if it does in Q[x], so the long
+        # division runs on integers and a fractional step means no quotient
+        ia, la = _integer_row(a.terms.values())
+        ib, lb = _integer_row(b.terms.values())
+        g = math.gcd(*ib)
+        right = [(eb, kb // g) for eb, kb in zip(b.terms, ib)]
+        lead_b, cb = max(right, key=lambda t: _grlex_key(t[0]))
+        rem = dict(zip(a.terms, ia))
+        quo: dict[Exponent, int] = {}
         while rem:
             lead_r = max(rem, key=_grlex_key)
             diff = tuple(x - y for x, y in zip(lead_r, lead_b))
             if any(e < 0 for e in diff):
                 return None
-            c = rem[lead_r] / cb
+            c, r = divmod(rem[lead_r], cb)
+            if r:
+                return None
             quo[diff] = c
-            for eb, kb in b.terms.items():
+            for eb, kb in right:
                 key = tuple(x + y for x, y in zip(diff, eb))
-                val = rem.get(key, Fraction(0)) - c * kb
-                if val == 0:
-                    rem.pop(key, None)
-                else:
+                val = rem.get(key, 0) - c * kb
+                if val:
                     rem[key] = val
-        return Polynomial(a.vars, quo)
+                else:
+                    rem.pop(key, None)
+        scale = la * g
+        return Polynomial._clean(a.vars, {e: Fraction(c * lb, scale) for e, c in quo.items()})
 
     # -------------------------------------------------------------- display
     def _monomial_str(self, expo: Exponent) -> str:

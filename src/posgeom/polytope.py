@@ -18,7 +18,12 @@ normalized dual volume.  For a simplex it is the closed form
     1 / (d! * vol(S) * prod of barycentric coordinates),
 
 and a general polytope is handled by summing a fan triangulation from one
-vertex.  Simple polytopes admit a second route, the sum over vertices of
+vertex.  A polygon's fan has 2k - 3 distinct wall lines, the k facets and
+the k - 3 diagonals from the apex; each is keyed by its primitive integer
+coefficient vector, the triangles are summed over the product of those
+lines, and one exact division by the product of the diagonals (degree
+k - 3) leaves the numerator over the facet product.  Simple polytopes
+admit a second route, the sum over vertices of
 |det of the active facet normals| / product of the active facet forms; the
 two routes agree exactly and the test suite insists on it.  This is the
 unique normalization for which the pentagon built by abhy_pentagon has unit
@@ -39,6 +44,7 @@ from .exact import (
     Polynomial,
     RationalFunction,
     _integer_row,
+    _primitive_integer,
     det,
     matrix_rank,
     solve_linear,
@@ -229,11 +235,16 @@ def default_variables(dim: int) -> tuple[str, ...]:
 def facet_form(facet: Facet, variables: Sequence[str]) -> Polynomial:
     """The linear form b - a.x, positive on the interior."""
     a, b = facet
-    terms = {tuple(0 for _ in variables): b}
-    for i, coeff in enumerate(a):
-        expo = tuple(1 if j == i else 0 for j in range(len(variables)))
-        terms[expo] = -coeff
-    return Polynomial(tuple(variables), terms)
+    return _linear_polynomial((*(-x for x in a), b), tuple(variables))
+
+
+def _linear_polynomial(coeffs: Sequence, variables: tuple[str, ...]) -> Polynomial:
+    """coeffs[0] x_1 + ... + coeffs[d-1] x_d + coeffs[d]."""
+    *linear, const = coeffs
+    terms = {tuple(0 for _ in variables): const}
+    for j, coeff in enumerate(linear):
+        terms[tuple(1 if t == j else 0 for t in range(len(variables)))] = coeff
+    return Polynomial(variables, terms)
 
 
 def simplex_canonical(
@@ -257,12 +268,7 @@ def simplex_canonical(
         for j in range(d + 1):
             minor = [row[:j] + row[j + 1 :] for r, row in enumerate(m) if r != i]
             coeffs.append((-1) ** (i + j) * det(minor))
-        terms = {tuple(0 for _ in variables): coeffs[d]}
-        for j in range(d):
-            expo = tuple(1 if t == j else 0 for t in range(d))
-            terms[expo] = coeffs[j]
-        denominator = denominator * Polynomial(variables, terms)
-
+        denominator = denominator * _linear_polynomial(coeffs, variables)
     scale = big ** (d + 1) / abs(big)
     return RationalFunction(Polynomial.const(scale, variables), denominator)
 
@@ -272,39 +278,68 @@ def _canonical_parts(
 ) -> tuple[Polynomial, Polynomial]:
     """Fan-triangulation canonical function reduced onto the facet product.
 
-    The raw fan sum carries cancelling factors along the internal walls of
-    the fan; since the true poles are simple and live on the facet
-    hyperplanes, multiplying by the full facet product and dividing exactly
-    by the fan denominator removes them.
+    The fan from one vertex (of a polygon's boundary cycle; a segment is its
+    own fan) has 2k - 3 distinct wall lines: the k facets and the k - 3
+    diagonals from the apex.  A wall is the kernel of the rows (v, 1) of
+    its vertices, keyed as a primitive integer vector with first nonzero
+    entry positive, so the two triangles on a diagonal share one form; a
+    facet wall's form is its facet form.  A simplex with walls w_i opposite
+    its vertices v_i contributes c / (product of the w_i), where
+    c = product of the w_i(v_i) over |det of the rows (v, 1)|.  The
+    canonical function is therefore N / (product of all walls), with N the
+    sum of each simplex's c times the walls it misses.  Times the facet
+    product that leaves N over the product of the diagonals, an exact
+    division by degree k - 3: the true poles are simple and lie on the
+    facets, so the diagonals cancel.
     """
     if p.dim == 1:
-        rf = simplex_canonical(p, variables)
-        pieces = [(rf.num, rf.den)]
+        simplices = [p.vertices]
     elif p.dim == 2:
         cyc = p.boundary_cycle()
         k = len(cyc)
         apex = apex % k
-        v0 = cyc[apex]
-        pieces = []
-        for i in range(k):
-            j = (i + 1) % k
-            if i == apex or j == apex:
-                continue
-            rf = simplex_canonical([v0, cyc[i], cyc[j]], variables)
-            pieces.append((rf.num, rf.den))
+        simplices = [
+            (cyc[apex], cyc[i], cyc[(i + 1) % k])
+            for i in range(k)
+            if apex not in (i, (i + 1) % k)
+        ]
     else:
         raise NotImplementedError("canonical_function implemented for dim <= 2")
 
-    num, den = pieces[0]
-    for n, d in pieces[1:]:
-        num = num * d + n * den
-        den = den * d
+    # wall key -> (coefficients of the form over (x, 1), the form)
+    walls: dict[tuple[int, ...], tuple[Sequence, Polynomial]] = {}
     target = Polynomial.const(1, variables)
-    for f in p.facets:
-        target = target * facet_form(f, variables)
-    reduced = (num * target).divexact(den)
+    for a, b in p.facets:
+        coeffs = (*(-x for x in a), b)
+        form = _linear_polynomial(coeffs, variables)
+        walls[_primitive_integer(coeffs)] = (coeffs, form)
+        target = target * form
+    diagonals = Polynomial.const(1, variables)
+    pieces = []
+    for simplex in simplices:
+        rows = [(*v, 1) for v in simplex]
+        c = 1 / abs(det(rows))
+        keys = set()
+        for i, row in enumerate(rows):
+            # the wall opposite vertex i is the kernel of the other rows
+            (key,) = solve_linear(rows[:i] + rows[i + 1 :]).kernel
+            if key not in walls:
+                walls[key] = (key, _linear_polynomial(key, variables))
+                diagonals = diagonals * walls[key][1]
+            c *= _dot(walls[key][0], row)  # the wall's form at vertex i
+            keys.add(key)
+        pieces.append((c, keys))
+
+    numerator = Polynomial.zero(variables)
+    for c, keys in pieces:
+        term = Polynomial.const(c, variables)
+        for key, (_, form) in walls.items():
+            if key not in keys:
+                term = term * form
+        numerator = numerator + term
+    reduced = numerator.divexact(diagonals)
     if reduced is None:
-        raise AssertionError("fan denominator does not divide the facet product form")
+        raise AssertionError("the fan diagonals do not divide the wall sum")
     return reduced, target
 
 
@@ -333,13 +368,13 @@ def canonical_vertex_sum(p: Polytope, variables: Sequence[str] | None = None) ->
     """Second route for simple polytopes: sum over vertices of
     |det of active normals| / product of active facet forms, assembled over
     the common denominator of all facet forms."""
-    if not p.is_simple():
+    actives = [p.active_facets(v) for v in p.vertices]
+    if any(len(active) != p.dim for active in actives):
         raise ValueError("vertex-sum formula requires a simple polytope")
     variables = tuple(variables) if variables else default_variables(p.dim)
     forms = {f: facet_form(f, variables) for f in p.facets}
     numerator = Polynomial.zero(variables)
-    for v in p.vertices:
-        active = p.active_facets(v)
+    for active in actives:
         weight = abs(det([list(a) for a, _ in active]))
         term = Polynomial.const(weight, variables)
         for f in p.facets:

@@ -1,7 +1,9 @@
 """Truncated signature tensors of piecewise linear paths, exactly.
 
 The signature of a single segment with increment v is the tensor
-exponential: level k holds v tensored with itself k times over k!.
+exponential: level k holds v tensored with itself k times over k!, built
+as an integer tensor power over the one denominator L^k k! (L the lcm of
+the denominators of v) with one Fraction per entry.
 Segments compose by the truncated tensor-algebra product (Chen's rule), so
 a path's signature is a product of segment exponentials.  The product
 accumulates each level on integers over one common denominator, and every
@@ -136,12 +138,18 @@ def identity_stack(dim: int, depth: int) -> SignatureTensorStack:
 
 
 def segment_signature(increment: Sequence[Fraction], depth: int) -> SignatureTensorStack:
-    """Tensor exponential of one segment: level k is v^(tensor k)/k!."""
+    """Tensor exponential of one segment: level k is v^(tensor k)/k!.
+
+    With v = u / L for integers u over the lcm L of the denominators, level
+    k is the integer tensor power of u over the one denominator L^k k!."""
     d = len(increment)
-    v = DenseTensor(d, 1, [Fraction(x) for x in increment])
+    u, l = _integer_row(increment)
+    power, den = [1], 1
     levels = [DenseTensor(d, 0, [Fraction(1)])]
     for k in range(1, depth + 1):
-        levels.append(levels[-1].outer(v).scale(Fraction(1, k)))
+        power = [a * b for a in power for b in u]
+        den *= l * k
+        levels.append(DenseTensor(d, k, [Fraction(a, den) for a in power]))
     return SignatureTensorStack(tuple(levels))
 
 

@@ -173,6 +173,8 @@ def test_validation_exit_code(tmp_path):
         ("amplitude", "--kinematics", five_point, "--tol", "inf"),
         ("signature", "--path", write_json(tmp_path / "path.json", {"points": [[0, 0], [1, 2]]}), "--tol", "-1"),
     ]
+    # the symbolic u-equation check is capped at n = 8 (9 s there, minutes beyond)
+    cases += [("dihedral", "--check", "u-equations", "--n", n) for n in ("3", "9", "1000000")]
     for args in cases:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -247,6 +249,32 @@ def test_dihedral_subcommand(tmp_path):
     out = run_cli("dihedral", "--check", "scattering", "--kinematics", kfile, "--tol", "1e-10")
     result = json.loads(out.stdout)["result"]
     assert result["max_residual"] < 1e-9
+
+
+def test_main_reuses_its_parser_across_calls(tmp_path, capsys, monkeypatch):
+    import posgeom.cli as cli
+
+    real, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    kfile = write_json(tmp_path / "k.json", sample_abhy_kinematics(3).to_dict())
+    stdout = []
+    for args in (["amplitude", "--kinematics", kfile], ["amplitude", "--no-such-flag"],
+                 ["amplitude", "--kinematics", kfile]):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        stdout.append(capsys.readouterr().out)
+        assert code == (2 if "--no-such-flag" in args else 0), args
+    assert stdout[1] == ""
+    assert stdout[0] == stdout[2] and json.loads(stdout[0])["result"]["amplitude"]
+    assert len(built) == 1
 
 
 def test_abhy_subcommand():

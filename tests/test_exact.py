@@ -91,6 +91,12 @@ def test_divexact():
     quotient = product.divexact(x + y)
     assert quotient == (x - y) * (x + 1)
     assert ((x + y) * (x + y)).divexact(x * y) is None
+    # the integer long division: a fractional step means no quotient, and
+    # rational contents on either side come back in the quotient
+    assert (x + 1).divexact(2 * x + 1) is None
+    assert (x * x + 1).divexact(3 * x + 3) is None
+    assert (x + F(1, 2)).divexact(2 * x + 1) == F(1, 2)
+    assert ((F(2, 3) * x - 4) * (x * y + F(1, 5))).divexact(F(3, 7) * x * y + F(3, 35)) == F(14, 9) * x - F(28, 3)
 
 
 def test_pole_error():
@@ -291,3 +297,17 @@ def test_product_is_the_fraction_convolution(p, q):
         product = a * b
         assert (product.vars, product.terms) == naive_product(a, b)
         assert all(type(c) is F and c != 0 for c in product.terms.values())
+
+
+@PROPERTY
+@given(polynomials(), polynomials(), RATIONALS)
+def test_arithmetic_results_are_clean(p, q, c):
+    # the trusted constructor must build what the checked one would: sums,
+    # products and negations, including those that cancel to zero
+    results = [p * q, p + q, -p, p - p, p + (-p), p * c, c * p, p * 0, p - q, (p + q) * (p - q)]
+    for r in results:
+        clean = Polynomial(r.vars, r.terms)
+        assert (r.vars, r.terms) == (clean.vars, clean.terms)
+        assert all(type(v) is F and v != 0 for v in r.terms.values())
+        assert all(type(e) is tuple and len(e) == len(r.vars) for e in r.terms)
+    assert (p - p).is_zero and (p * 0).is_zero

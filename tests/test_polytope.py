@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from posgeom.exact import PoleError, RationalFunction, det, rf_equal
+from posgeom.exact import PoleError, Polynomial, RationalFunction, det, rf_equal
 from posgeom.kinematics import kinematics_from_planar, polygon_diagonals
 from posgeom.polytope import (
     Polytope,
@@ -15,9 +15,11 @@ from posgeom.polytope import (
     abhy_pentagon,
     adjoint,
     canonical_function,
+    canonical_parts,
     canonical_vertex_sum,
     cone_facet_normals,
     dual_volume_oracle,
+    facet_form,
     polar_dual,
     simplex_canonical,
 )
@@ -119,6 +121,81 @@ def test_normalization_oracle():
         value = canonical_function(poly).evaluate({"x1": x0[0], "x2": x0[1]})
         assert value == dual_volume_oracle(poly, x0)
         done += 1
+
+
+def reference_fan_parts(poly, apex=0, variables=("x1", "x2")):
+    """The fan route summed triangle by triangle: each triangle's canonical
+    function is added over the product of all triangle denominators, of
+    degree 3(k - 2), and the sum times the facet product is divided by it."""
+    cyc = poly.boundary_cycle()
+    k = len(cyc)
+    apex %= k
+    pieces = []
+    for i in range(k):
+        j = (i + 1) % k
+        if apex not in (i, j):
+            rf = simplex_canonical([cyc[apex], cyc[i], cyc[j]], variables)
+            pieces.append((rf.num, rf.den))
+    num, den = pieces[0]
+    for n, d in pieces[1:]:
+        num, den = num * d + n * den, den * d
+    target = Polynomial.const(1, variables)
+    for f in poly.facets:
+        target = target * facet_form(f, variables)
+    return (num * target).divexact(den), target
+
+
+RATIONAL_COORDS = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Convex rational polygons with 3 to 9 vertices: rational points of a
+    circle under a random rational affine map, or the hull of a point cloud."""
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(range(9, 2, -1)))
+        ts = draw(st.lists(st.fractions(-4, 4, max_denominator=4), min_size=k, max_size=k, unique=True))
+        a, b, c, d = (draw(st.integers(-3, 3)) for _ in range(4))
+        assume(a * d != b * c)
+        shift = (draw(RATIONAL_COORDS), draw(RATIONAL_COORDS))
+        circle = [((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts]
+        points = [(a * x + b * y + shift[0], c * x + d * y + shift[1]) for x, y in circle]
+    else:
+        points = draw(st.lists(st.tuples(RATIONAL_COORDS, RATIONAL_COORDS), min_size=3, max_size=12))
+    try:
+        poly = Polytope.from_vertices(points)
+    except ValueError:  # collinear points
+        assume(False)
+    assume(len(poly.vertices) <= 9)
+    return poly
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(convex_polygons(), st.integers(0, 8))
+def test_fan_over_distinct_walls_matches_the_triangle_by_triangle_sum(poly, apex):
+    reference = reference_fan_parts(poly, apex)
+    for a in range(len(poly.vertices)):
+        num, den = canonical_parts(poly, apex=a)
+        assert (num.terms, den.terms) == (reference[0].terms, reference[1].terms)
+    assert rf_equal(RationalFunction(*reference), canonical_vertex_sum(poly))
+
+
+def test_fan_route_stands_alone(monkeypatch):
+    # the three routes of the table stay independent: the fan never calls
+    # the vertex sum or the dual-volume oracle
+    import posgeom.polytope as polytope
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fan route called another route")
+
+    poly = moment_polygon(4, 7)
+    expected = canonical_parts(poly)
+    for name in ("canonical_vertex_sum", "dual_volume_oracle", "polar_dual"):
+        monkeypatch.setattr(polytope, name, forbidden)
+    monkeypatch.setattr(Polytope, "active_facets", forbidden)
+    for apex in range(7):
+        num, den = canonical_parts(poly, apex=apex)
+        assert (num.terms, den.terms) == (expected[0].terms, expected[1].terms)
 
 
 def test_adjoint_degree_is_v_minus_3():

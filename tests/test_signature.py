@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posgeom.exact import DenseTensor
@@ -173,3 +173,22 @@ def test_product_is_the_fraction_tensor_algebra_product(pair):
     product = a.product(b)
     assert [list(t.entries) for t in product.levels] == reference_product(a, b)
     assert all(type(x) is F for t in product.levels for x in t.entries)
+
+
+def reference_segment_signature(increment, depth):
+    """Level k as level k - 1 outer v, scaled by 1/k, in Fraction arithmetic."""
+    v = DenseTensor(len(increment), 1, [F(x) for x in increment])
+    levels = [DenseTensor(len(increment), 0, [F(1)])]
+    for k in range(1, depth + 1):
+        levels.append(levels[-1].outer(v).scale(F(1, k)))
+    return levels
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=3), st.integers(0, 5))
+@example([F(0), F(0)], 5)
+@example([F(0), F(-3, 2), F(0)], 5)
+def test_segment_exponential_is_the_scaled_outer_power(increment, depth):
+    stack = segment_signature(increment, depth)
+    assert stack.levels == tuple(reference_segment_signature(increment, depth))
+    assert all(type(x) is F for t in stack.levels for x in t.entries)
