@@ -258,12 +258,16 @@ def cmd_chy(args, inputs):
 def cmd_canonical_form(args, inputs):
     data, digest = _load_json(args.polytope)
     inputs["polytope"] = digest
+    try:  # the dimension, read off the data before the hull costs anything
+        dims = {len(r) for r in (data["V"] if data.get("V") else [f["a"] for f in data["H"]])}
+    except (KeyError, TypeError):
+        dims = set()
+    if len(dims) == 1 and dims.pop() > 2:
+        raise ValidationError("canonical_function implemented for dim <= 2")
     try:
         poly = Polytope.from_dict(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{args.polytope}: {exc}") from exc
-    if poly.dim > 2:
-        raise ValidationError("canonical_function implemented for dim <= 2")
     num, den = canonical_parts(poly)
     return {
         "polytope": poly.to_dict(),

@@ -16,7 +16,6 @@ interpolation system is solved by fraction-free elimination.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,19 +186,10 @@ def membership(line, z: ZMatrix, extended: bool = False) -> MembershipVerdict:
 # --------------------------------------------------------------------------
 
 
-# Facet lists kept per configuration: each stabs call needs them all.
-_CONE_FACETS_CACHE_SIZE = 32
-
-
 def cone_facets(z: ZMatrix) -> list[Vector]:
-    """Inward normals of the cone over the configuration (exact), in the
-    order the shared facet search finds them."""
-    return list(_cone_facets(z))
-
-
-@functools.lru_cache(maxsize=_CONE_FACETS_CACHE_SIZE)
-def _cone_facets(z: ZMatrix) -> tuple[Vector, ...]:
-    return tuple(cone_facet_normals(z.rows))
+    """Inward normals of the cone over the configuration (exact), as
+    primitive integer vectors in sorted order."""
+    return cone_facet_normals(z.rows)
 
 
 def stabs(line, z: ZMatrix) -> bool:

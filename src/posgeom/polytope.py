@@ -1,16 +1,15 @@
 """Polytopes with exact rational data and their canonical functions.
 
 A polytope carries both an H-representation (irredundant facets a.x <= b,
-(a, b) primitive integers) and a V-representation (irredundant vertices),
-built by exact subset enumeration.  One facet search serves every cone:
-cone_facet_normals takes the kernel of each k - 1 rows and keeps it when
-all rows lie on one side.  from_vertices runs it on the rows (p, -1);
-the positive configurations of grassmann.py run it on their own rows.
-from_halfspaces enumerates vertices over d-subsets of the halfspaces and
-keeps as facets the input halfspaces whose tight vertices span a
-hyperplane, so it never searches vertex subsets; the ABHY associahedron at
-seven points (14 halfspaces in dimension 4, 42 vertices) builds in well
-under a second.
+(a, b) primitive integers) and a V-representation (irredundant vertices).
+One integer double-description search, _extreme_rays, finds the extreme
+rays of {w : r.w >= 0 for every row r} with the rows each is tight on.  It
+serves cone_facet_normals (so the configurations of grassmann.py too),
+from_vertices on the rows (p, -1), whose rays are the facets, and
+from_halfspaces on the rows (-a, b) and (0, ..., 0, 1), whose rays are the
+vertices.  Its cost follows the rays it meets, not the row subsets: the ABHY
+associahedron at ten points (35 halfspaces in dimension 7, 1430 vertices)
+builds from its halfspaces in under a second.
 
 The canonical function adopted here is d! * vol((P - x) polar), i.e. the
 normalized dual volume.  For a simplex it is the closed form
@@ -37,7 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .exact import (
@@ -62,24 +60,54 @@ def _dot(a: Sequence, x: Sequence) -> Fraction:
     return sum((u * v for u, v in zip(a, x)), Fraction(0))
 
 
+def _join(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
+    """a u + b v scaled to coprime integers."""
+    w = [a * x + b * y for x, y in zip(u, v)]
+    g = math.gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def _extreme_rays(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]] | None:
+    """Extreme rays of {w : r.w >= 0 for every integer row r} by the double
+    description method (Motzkin et al. 1953; Fukuda-Prodon 1996): pairs of
+    w, primitive integer, and the bitmask of rows with r.w = 0; None if the
+    rows do not span R^k.  A row not zero on the lineality space L (R^k at
+    first) turns a direction of L into a ray; any other row keeps the rays on
+    its side and joins each adjacent pair across its hyperplane: a common
+    zero set of k - 2 - dim L or more rows, in no third ray's zero set."""
+    k = len(rows[0])
+    lineality = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        signed = [(sum(x * y for x, y in zip(row, w)), w, z) for w, z in rays]
+        dots = [sum(x * y for x, y in zip(row, u)) for u in lineality]
+        j = next((j for j, s in enumerate(dots) if s), None)
+        if j is not None:
+            # v is zero on every row so far and becomes a ray positive on row i
+            v, sv = lineality.pop(j), dots.pop(j)
+            v, sv = (v, sv) if sv > 0 else (tuple(-x for x in v), -sv)
+            lineality = [_join(sv, u, -su, v) for u, su in zip(lineality, dots)]
+            rays = [(_join(sv, w, -s, v), z | bit) for s, w, z in signed] + [(v, bit - 1)]
+            continue
+        kept = [(w, z if s else z | bit) for s, w, z in signed if s >= 0]
+        minus = [t for t in signed if t[0] < 0]
+        zsets = [z for _, z in rays]
+        for sp, wp, zp in (t for t in signed if t[0] > 0):
+            for sn, wn, zn in minus:
+                common = zp & zn
+                if common.bit_count() >= k - 2 - len(lineality) and sum(z & common == common for z in zsets) == 2:
+                    kept.append((_join(sp, wn, -sn, wp), common | bit))
+        rays = kept
+    return None if lineality else rays
+
+
 def cone_facet_normals(rows: Sequence[Sequence]) -> list[Vector]:
     """Inward facet normals w (w.r >= 0 for every row) of the cone over rows
-    spanning R^k, in discovery order and without duplicates.
-
-    Each normal is the primitive integer kernel vector of k - 1 rows, taken
-    when that kernel is one-dimensional and every row lies on one side."""
-    normals: dict[Vector, None] = {}
-    for subset in combinations(rows, len(rows[0]) - 1):
-        kernel = solve_linear(subset).kernel
-        if len(kernel) != 1:
-            continue
-        w = _fracvec(kernel[0])
-        sides = [_dot(w, r) for r in rows]
-        if all(s >= 0 for s in sides):
-            normals[w] = None
-        elif all(s <= 0 for s in sides):
-            normals[tuple(-x for x in w)] = None
-    return list(normals)
+    spanning R^k, as primitive integer vectors in sorted order: the extreme
+    rays of {w : w.r >= 0 for every row r}.  Other rows give none."""
+    rays = _extreme_rays([_integer_row(r)[0] for r in rows]) or []
+    return [tuple(Fraction(x) for x in w) for w in sorted(w for w, _ in rays)]
 
 
 @dataclass(frozen=True)
@@ -101,19 +129,14 @@ class Polytope:
             raise ValueError("points of mixed dimension")
         if d == 0:
             raise ValueError("points of dimension 0")
-        base = points[0]
-        if matrix_rank([[p[i] - base[i] for i in range(d)] for p in points[1:]]) < d:
-            raise ValueError("point set is lower-dimensional")
-
         # w.(p, -1) >= 0 for every point is the facet a.x <= b with (a, b) = -w
-        normals = cone_facet_normals([(*p, -1) for p in points])
-        facet_list = tuple(sorted((tuple(-x for x in w[:d]), -w[d]) for w in normals))
-        vertices = []
-        for p in points:
-            active = [a for (a, b) in facet_list if _dot(a, p) == b]
-            if len(active) >= d and matrix_rank(active) == d:
-                vertices.append(p)
-        return cls(d, facet_list, tuple(sorted(vertices)))
+        rays = _extreme_rays([_integer_row((*p, -1))[0] for p in points])
+        if rays is None:
+            raise ValueError("point set is lower-dimensional")
+        facets = sorted((tuple(Fraction(-x) for x in w[:d]), Fraction(-w[d])) for w, _ in rays)
+        # a point is a vertex when the facets tight on it have rank d
+        vertices = [p for i, p in enumerate(points) if matrix_rank([w[:d] for w, z in rays if z >> i & 1]) == d]
+        return cls(d, tuple(facets), tuple(vertices))
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[tuple[Sequence, object]]) -> "Polytope":
@@ -125,42 +148,25 @@ class Polytope:
             raise ValueError("halfspaces of mixed dimension")
         if d == 0:
             raise ValueError("halfspaces of dimension 0")
-        if d == 1:
-            if not any(a[0] > 0 for a, _ in hs) or not any(a[0] < 0 for a, _ in hs):
-                raise ValueError("unbounded halfline")
-        else:
-            # recession cone must be trivial: any extreme recession ray is
-            # tight on d-1 normals, so subset enumeration certifies boundedness
-            for subset in combinations([a for a, _ in hs], d - 1):
-                for v in solve_linear([list(a) for a in subset]).kernel:
-                    for sgn in (1, -1):
-                        ray = [sgn * x for x in v]
-                        if all(_dot(a, ray) <= 0 for a, _ in hs):
-                            raise ValueError("halfspace intersection is unbounded")
-        verts: set[Vector] = set()
-        for subset in combinations(hs, d):
-            sol = solve_linear([list(a) for a, _ in subset], [b for _, b in subset])
-            if sol.status != "unique":
-                continue
-            x = sol.solution
-            if all(_dot(a, x) <= b for a, b in hs):
-                verts.add(tuple(x))
-        if not verts:
+        # the cone {(x, t) : a.x <= b t, t >= 0} has the rays (v, 1) at the
+        # vertices, and a ray with t = 0 is a recession direction of P
+        rows = [_integer_row((*(-x for x in a), b))[0] for a, b in hs]
+        rays = _extreme_rays(rows + [(0,) * d + (1,)])
+        if rays is None or any(w[d] == 0 for w, _ in rays):
+            raise ValueError("unbounded halfline" if d == 1 else "halfspace intersection is unbounded")
+        if not rays:
             raise ValueError("halfspace intersection is empty")
-        if matrix_rank([(*v, 1) for v in verts]) <= d:
+        if matrix_rank([w for w, _ in rays]) <= d:
             raise ValueError("point set is lower-dimensional")
-
-        # an input halfspace is a facet when its tight vertices span a
-        # hyperplane; scaled to primitive integers it is the facet that
-        # from_vertices finds for the same polytope
-        facets: set[Facet] = set()
-        for a, b in hs:
-            tight = [(*v, 1) for v in verts if _dot(a, v) == b]
-            if matrix_rank(tight) == d:
-                ints, _ = _integer_row((*a, b))
-                g = math.gcd(*ints)
-                facets.add((tuple(Fraction(x // g) for x in ints[:d]), Fraction(ints[d] // g)))
-        return cls(d, tuple(sorted(facets)), tuple(sorted(verts)))
+        # an input halfspace is a facet when its tight vertices span a hyperplane;
+        # scaled to primitive integers it is the facet from_vertices finds
+        facets = {
+            (tuple(Fraction(-x, math.gcd(*r)) for x in r[:d]), Fraction(r[d], math.gcd(*r)))
+            for i, r in enumerate(rows)
+            if matrix_rank([w for w, z in rays if z >> i & 1]) == d
+        }
+        vertices = sorted(tuple(Fraction(x, w[d]) for x in w[:d]) for w, _ in rays)
+        return cls(d, tuple(sorted(facets)), tuple(vertices))
 
     # ----------------------------------------------------------- predicates
     def contains(self, x: Sequence, strict: bool = False) -> bool:

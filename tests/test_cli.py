@@ -153,11 +153,13 @@ def test_validation_exit_code(tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text('{"V": [[1e400, 0], [0, 1], [0, 0]]}')
     cube = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    moment5 = [[t**e for e in range(1, 6)] for t in range(-8, 8)]
     polytopes = [
         {"H": square + [{"a": ["-1"], "b": "0"}]},
         {"H": square + [{"a": ["-1", "0", "5"], "b": "0"}]},
         {"V": [[]]},
         {"V": cube},
+        {"V": moment5},
     ]
     cases += [
         ("canonical-form", "--polytope", write_json(tmp_path / f"poly{i}.json", data))
@@ -182,6 +184,11 @@ def test_validation_exit_code(tmp_path):
         assert code == 2, (args, err.getvalue())
         assert "validation error" in err.getvalue(), (args, err.getvalue())
         assert out.getvalue() == "", args
+    # the dimension is checked before the hull: a flat set in dimension 5
+    # gets the dimension message, not the hull's
+    flat5 = write_json(tmp_path / "flat5.json", {"V": [[*p[:4], 0] for p in moment5]})
+    code, err = run_main("canonical-form", "--polytope", flat5)
+    assert code == 2 and "canonical_function implemented for dim <= 2" in err, err
     # roots are verified against --tol, so it must be finite and positive
     abhy_point = write_json(tmp_path / "abhy.json", sample_abhy_kinematics(0).to_dict())
     for command in (["chy"], ["crosscheck"], ["dihedral", "--check", "scattering"]):

@@ -1,12 +1,22 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from posgeom.exact import PoleError, Polynomial, RationalFunction, det, rf_equal
+from posgeom.exact import (
+    PoleError,
+    Polynomial,
+    RationalFunction,
+    _integer_row,
+    det,
+    matrix_rank,
+    rf_equal,
+    solve_linear,
+)
 from posgeom.kinematics import kinematics_from_planar, polygon_diagonals
 from posgeom.polytope import (
     Polytope,
@@ -288,10 +298,191 @@ def test_malformed_polytope_data():
         Polytope.from_halfspaces(square + [((1, -1), 0), ((-1, 1), 0)])
 
 
+# The subset-enumeration builders the double description replaced, kept as
+# the reference: C(N, k - 1) kernels for the cone facets, C(m, d) solves for
+# the vertices of an H-description and C(m, d - 1) kernels for its
+# boundedness.
+
+
+def _dot(a, x):
+    return sum((u * v for u, v in zip(a, x)), F(0))
+
+
+def reference_cone_facet_normals(rows):
+    normals = {}
+    for subset in combinations(rows, len(rows[0]) - 1):
+        kernel = solve_linear(subset).kernel
+        if len(kernel) != 1:
+            continue
+        w = tuple(F(x) for x in kernel[0])
+        sides = [_dot(w, r) for r in rows]
+        if all(s >= 0 for s in sides):
+            normals[w] = None
+        elif all(s <= 0 for s in sides):
+            normals[tuple(-x for x in w)] = None
+    return list(normals)
+
+
+def reference_from_vertices(points):
+    points = sorted({tuple(F(x) for x in p) for p in points})
+    if not points:
+        raise ValueError("no points given")
+    d = len(points[0])
+    if any(len(p) != d for p in points):
+        raise ValueError("points of mixed dimension")
+    if d == 0:
+        raise ValueError("points of dimension 0")
+    base = points[0]
+    if matrix_rank([[p[i] - base[i] for i in range(d)] for p in points[1:]]) < d:
+        raise ValueError("point set is lower-dimensional")
+    normals = reference_cone_facet_normals([(*p, -1) for p in points])
+    facets = tuple(sorted((tuple(-x for x in w[:d]), -w[d]) for w in normals))
+    vertices = []
+    for p in points:
+        active = [a for (a, b) in facets if _dot(a, p) == b]
+        if len(active) >= d and matrix_rank(active) == d:
+            vertices.append(p)
+    return Polytope(d, facets, tuple(sorted(vertices)))
+
+
+def reference_from_halfspaces(halfspaces):
+    hs = [(tuple(F(x) for x in a), F(b)) for a, b in halfspaces]
+    if not hs:
+        raise ValueError("no halfspaces given")
+    d = len(hs[0][0])
+    if any(len(a) != d for a, _ in hs):
+        raise ValueError("halfspaces of mixed dimension")
+    if d == 0:
+        raise ValueError("halfspaces of dimension 0")
+    if d == 1:
+        if not any(a[0] > 0 for a, _ in hs) or not any(a[0] < 0 for a, _ in hs):
+            raise ValueError("unbounded halfline")
+    else:
+        for subset in combinations([a for a, _ in hs], d - 1):
+            for v in solve_linear([list(a) for a in subset]).kernel:
+                for sgn in (1, -1):
+                    ray = [sgn * x for x in v]
+                    if all(_dot(a, ray) <= 0 for a, _ in hs):
+                        raise ValueError("halfspace intersection is unbounded")
+    verts = set()
+    for subset in combinations(hs, d):
+        sol = solve_linear([list(a) for a, _ in subset], [b for _, b in subset])
+        if sol.status == "unique" and all(_dot(a, sol.solution) <= b for a, b in hs):
+            verts.add(tuple(sol.solution))
+    if not verts:
+        raise ValueError("halfspace intersection is empty")
+    if matrix_rank([(*v, 1) for v in verts]) <= d:
+        raise ValueError("point set is lower-dimensional")
+    facets = set()
+    for a, b in hs:
+        if matrix_rank([(*v, 1) for v in verts if _dot(a, v) == b]) == d:
+            ints, _ = _integer_row((*a, b))
+            g = math.gcd(*ints)
+            facets.add((tuple(F(x // g) for x in ints[:d]), F(ints[d] // g)))
+    return Polytope(d, tuple(sorted(facets)), tuple(sorted(verts)))
+
+
+def outcome(build, data):
+    """The polytope built, or the message of the ValueError raised."""
+    try:
+        return build(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+OCTAHEDRON = [tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+# a pyramid over the octahedron, with its centre and an edge midpoint
+OCTAHEDRAL_PYRAMID = [(*p, 0) for p in OCTAHEDRON] + [(0, 0, 0, 1), (0, 0, 0, 0), (F(1, 2), F(1, 2), 0, 0)]
+
+
+@st.composite
+def point_sets(draw):
+    """d + 1 to six points in dimension d = 1-4 together with repeats of
+    some of them, midpoints of pairs (edge points when the pair is an edge)
+    and the centroid (interior when the hull is full-dimensional)."""
+    d = draw(st.sampled_from((1, 2, 3, 4)))
+    coords = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=d + 1, max_size=6))
+    index = st.integers(0, len(points) - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        points.append(tuple((x + y) / 2 for x, y in zip(points[i], points[j])))
+    if draw(st.booleans()):
+        points.append(tuple(sum(c) / len(points) for c in zip(*points)))
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    return points
+
+
+def h_variant(poly, rng, kind):
+    """H-data of poly: every facet scaled, one repeated, one shifted outward
+    and one sum of two facets (both redundant), and zero-normal halfspaces
+    0 <= 1 and 0 <= 0 that hold everywhere; with kind 1 also 0 <= -1, which
+    holds nowhere, and with kind 2 a facet reversed, which leaves the facet."""
+    zero = tuple(F(0) for _ in range(poly.dim))
+    hs = []
+    for a, b in poly.facets:
+        s = F(rng.randint(1, 9), rng.randint(1, 4))
+        hs.append((tuple(s * x for x in a), s * b))
+    (a1, b1), (a2, b2) = rng.choice(poly.facets), rng.choice(poly.facets)
+    hs += [(a1, b1), (a2, b2 + 1), (tuple(x + y for x, y in zip(a1, a2)), b1 + b2), (zero, F(1)), (zero, F(0))]
+    hs += [[], [(zero, F(-1))], [(tuple(-x for x in a1), -b1)]][kind]
+    rng.shuffle(hs)
+    return hs
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(point_sets(), st.integers(0, 2**32), st.integers(0, 2))
+@example(OCTAHEDRON, 0, 0)
+@example(SQUARE_PYRAMID, 1, 2)
+@example(OCTAHEDRAL_PYRAMID, 2, 0)
+def test_double_description_matches_the_subset_enumeration(points, seed, kind):
+    poly = outcome(Polytope.from_vertices, points)
+    assert poly == outcome(reference_from_vertices, points)
+    if isinstance(poly, Polytope):
+        hs = h_variant(poly, random.Random(seed), kind)
+        assert outcome(Polytope.from_halfspaces, hs) == outcome(reference_from_halfspaces, hs)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((1, 2, 3, 4)).flatmap(lambda d: st.lists(
+    st.tuples(st.tuples(*[st.integers(-3, 3)] * d), st.integers(-3, 4)), min_size=d, max_size=d + 7)))
+def test_random_halfspaces_match_the_subset_enumeration(halfspaces):
+    # unbounded, empty and lower-dimensional intersections raise the same
+    # message as the reference (at least d halfspaces, see below)
+    assert outcome(Polytope.from_halfspaces, halfspaces) == outcome(reference_from_halfspaces, halfspaces)
+
+
+def test_too_few_halfspaces_are_unbounded():
+    # with fewer than d - 1 halfspaces the reference finds no subset to
+    # certify a recession ray and reports an empty set
+    one = [((1, 0, 0), 1)]
+    assert outcome(reference_from_halfspaces, one) == "halfspace intersection is empty"
+    assert outcome(Polytope.from_halfspaces, one) == "halfspace intersection is unbounded"
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(point_sets().flatmap(lambda pts: st.permutations(pts).map(lambda perm: (pts, perm))))
+def test_cone_facet_normals_ignore_the_row_order(pair):
+    points, permuted = pair
+    rows = [(*p, -1) for p in points]
+    assume(matrix_rank(rows) == len(rows[0]))  # the search's domain: rows spanning R^k
+    expected = sorted(reference_cone_facet_normals(rows))
+    assert cone_facet_normals(rows) == expected
+    assert cone_facet_normals([(*p, -1) for p in permuted]) == expected
+
+
 def test_cone_facet_normals_discovery_order():
     # cone over a square; the repeated and the interior row change nothing
     rows = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, 1), (0, 0, 1), (-1, -1, 1)]
     assert cone_facet_normals(rows) == [(-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)]
+
+
+def test_cone_facet_normals_need_spanning_rows():
+    # rows in a plane of R^3: the cone {w : w.r >= 0} contains a line and
+    # has no extreme rays (the subset search returned a direction of that line)
+    rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    assert reference_cone_facet_normals(rows) == [(0, 0, 1)]
+    assert cone_facet_normals(rows) == []
 
 
 def abhy_halfspaces(n, rng):
@@ -315,12 +506,14 @@ def abhy_halfspaces(n, rng):
     return [(tuple(-v for v in coeffs), const) for coeffs, const in forms.values()], forms
 
 
-@pytest.mark.parametrize("n, facets, vertices", [(6, 9, 14), (7, 14, 42)])
+@pytest.mark.parametrize("n, facets, vertices", [(6, 9, 14), (7, 14, 42), (8, 20, 132), (9, 27, 429)])
 def test_abhy_associahedron_from_halfspaces(n, facets, vertices):
     halfspaces, forms = abhy_halfspaces(n, random.Random(n))
     p = Polytope.from_halfspaces(halfspaces)
     assert (p.dim, len(p.facets), len(p.vertices)) == (n - 3, facets, vertices)
     assert p.is_simple()
+    if n >= 7:
+        assert Polytope.from_vertices(p.vertices) == p
     if n == 6:
         y = interior_point(p, 0)
         planar = {d: sum(c * v for c, v in zip(coeffs, y)) + const for d, (coeffs, const) in forms.items()}
