@@ -29,7 +29,7 @@ import numpy as np
 
 from .exact import Polynomial, solve_linear
 from .kinematics import KinematicData, planar_variables
-from .quadrature import QuadConfig, _lane_quad, adaptive_quad
+from .quadrature import QuadConfig, QuadratureError, _lane_quad, adaptive_quad
 from .trees import tree_amplitude
 
 Expo = Fraction | Polynomial  # exponents may carry symbolic parameters
@@ -37,6 +37,9 @@ Expo = Fraction | Polynomial  # exponents may carry symbolic parameters
 
 def _expo_to_float(e: Expo, params: Mapping[str, float]) -> float:
     if isinstance(e, Polynomial):
+        missing = sorted(set(e.vars) - set(params))
+        if missing:
+            raise ValueError(f"exponent parameter {missing[0]!r} has no value")
         return float(e.evaluate({v: Fraction(params[v]).limit_denominator(10**12) for v in e.vars}))
     return float(e)
 
@@ -301,13 +304,17 @@ def evaluate_euler(
 
     Substitutes alpha_a = v_a^(1/nu_a) then v = t/(1-t) per variable and
     integrates the transformed integrand by nested adaptive quadrature.  The
-    outermost variable goes through adaptive_quad; each integrand call of a
-    level integrates the next variable in one lane-batched quadrature, one
-    lane per abscissa, with the outer Jacobians folded into the lane values
-    so that the lanes' shared absolute tolerance is in units of the outer
-    integrand.  The product of forms is planned once per call: each form's
-    offsets and nonzero monomial exponents, so that an integrand call is
-    plain multiplies, with powers only for exponents above 1.
+    outermost variable goes through adaptive_quad, with plain bisection
+    after its first split; each integrand call of a level integrates the
+    next variable in one lane-batched quadrature, one lane per abscissa,
+    with graded splits toward t = 0 and t = 1 and the outer Jacobians folded
+    into the lane values so that the lanes' shared absolute tolerance is in
+    units of the outer integrand.  The product of forms is planned once per
+    call: each form's offsets and nonzero monomial exponents, so that an
+    integrand call is plain multiplies, with powers only for exponents
+    above 1.  Raises QuadratureError when a lane misses the tolerance and
+    when the result is not a finite positive number, which the integral of
+    a positive integrand is unless it under- or overflows double precision.
     """
     params = dict(params or {})
     c = [float(v) for v in c]
@@ -326,14 +333,14 @@ def evaluate_euler(
         jacobian /= v
     # decay rate of the v-integrand at infinity per variable; the map
     # v = (t/(1-t))^p with p >= 3/q turns the algebraic tail into a C^2
-    # endpoint so that bisection converges fast
+    # endpoint so that adaptive refinement converges fast
     qs = []
     for a in range(f.nvars):
         infinity_degree = nu[a] + sum(
             s_k * max(m[a] for m in form.monomials) for s_k, form in zip(exponents, f.forms)
         )
         qs.append(-infinity_degree / nu[a])
-    # p*q >= 2 keeps the endpoint merely C^0, which bisection handles, while
+    # p*q >= 2 keeps the endpoint merely C^0, which refinement handles, while
     # a cap on p avoids astronomic dynamic range at the right endpoint
     ps = [min(6.0, max(2.0, 2.0 / q + 1.0)) for q in qs]
 
@@ -343,22 +350,27 @@ def evaluate_euler(
         alphas, aligned with t."""
         p = ps[level]
         with np.errstate(all="ignore"):
-            u = t / (1.0 - t)
-            alpha = (u**p) ** inv_nu[level]
-            jac = outer_jac * p * u ** (p - 1.0) / (1.0 - t) ** 2
+            up = (t / (1.0 - t)) ** p
+            alpha = up if inv_nu[level] == 1.0 else up ** inv_nu[level]
+            jac = outer_jac * p * up / (t * (1.0 - t))
             if level == f.nvars - 1:
                 out = _integrand_values(plan, fixed + [alpha]) * jac
-                # the integrand tends to zero at both endpoints; rounding can
-                # evaluate it at t == 1 exactly, producing 0 * inf
+                # near an endpoint alpha or the Jacobian can leave the double
+                # range, making the product 0 * inf or inf; it is taken as 0
                 return np.where(np.isfinite(out), out, 0.0)
         # one lane per abscissa, its alphas and Jacobians gathered by lane index
         alphas = fixed + [alpha]
         return _lane_quad(
             lambda x, lane: level_values(level + 1, x, [a[lane] for a in alphas], jac[lane]),
-            len(t), 0.0, 1.0, quad,
+            len(t), 0.0, 1.0, quad, graded=True,
         )
 
-    return jacobian * adaptive_quad(lambda t: level_values(0, t, [], np.ones_like(t)), 0.0, 1.0, quad)
+    value = jacobian * adaptive_quad(lambda t: level_values(0, t, [], np.ones_like(t)), 0.0, 1.0, quad)
+    # a positive integrand has a positive integral: 0 or inf means the
+    # integrand underflowed or overflowed in double precision
+    if not (math.isfinite(value) and value > 0):
+        raise QuadratureError(f"integral evaluated to {value}, outside the double range at these coefficients")
+    return value
 
 
 def apply_finite_difference(

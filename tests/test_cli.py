@@ -140,6 +140,9 @@ def test_validation_exit_code(tmp_path):
         ("string-limit", "--kinematics", five_point, "--eps", "1e400"),
         ("gkz", "--integrand", write_json(tmp_path / "ok.json", INTEGRAND), "--evaluate", "1,1,1,1,1,1,1e400"),
         ("gkz", "--integrand", str(tmp_path / "ok.json"), "--evaluate", "1,1,1,1,1,1,1", "--params", "eps=-1e400"),
+        # an exponent parameter without a value
+        ("gkz", "--integrand", str(tmp_path / "ok.json"), "--evaluate", "1,1,1,1,1,1,1", "--params", "foo=1"),
+        ("gkz", "--integrand", str(tmp_path / "ok.json"), "--evaluate", "1,1,1,1,1,1,1"),
         # integer slots of an integrand take integers only, never floats or booleans
         ("gkz", "--integrand", write_json(tmp_path / "nvars.json", with_slot(INTEGRAND, ("nvars",), 2.5))),
         ("gkz", "--integrand",
@@ -213,6 +216,15 @@ def test_numerical_exit_code_on_pole(tmp_path):
     out = run_cli("crosscheck", "--kinematics", path)
     assert out.returncode == 3
     assert "numerical failure" in out.stderr
+
+
+def test_underflowing_integral_exits_3(tmp_path):
+    # one form to the power -3: the integral is about 7e-155 at c3 = 1e308,
+    # but its integrand underflows to 0 everywhere
+    one_form = dict(INTEGRAND, forms=[dict(INTEGRAND["forms"][0], exponent="-3")])
+    path = write_json(tmp_path / "one_form.json", one_form)
+    code, err = run_main("gkz", "--integrand", path, "--evaluate", "1,1,1e308", "--params", "eps=1/4")
+    assert code == 3 and "numerical failure" in err, err
 
 
 def test_adjoint_and_membership_files(tmp_path):

@@ -87,6 +87,38 @@ def test_near_divergent_dirichlet_is_accurate_or_raises():
     assert value == pytest.approx(expected, rel=1e-6)
 
 
+def _dirichlet(nu, s):
+    return EulerIntegrand(2, (LinearForm(((1, 0), (0, 1), (0, 0)), (1, 2, 3), F(-s)),), nu)
+
+
+@pytest.mark.parametrize(
+    "nu, s, expected",
+    [((F(1, 2), F(1, 2)), F(5, 4), 4 * math.pi), ((F(1), F(1)), F(9, 4), math.gamma(0.25) / math.gamma(2.25))],
+)
+def test_small_margin_dirichlet_at_default_config(nu, s, expected):
+    assert evaluate_euler(_dirichlet(nu, s), [1.0, 1.0, 1.0]) == pytest.approx(expected, rel=1e-8)
+
+
+def test_near_divergent_dirichlet_raises_at_doubled_config():
+    # its panels near t = 1 get too narrow to place their nodes inside them,
+    # and they stop there instead of settling on nodes rounded onto t = 1
+    with pytest.raises(QuadratureError):
+        evaluate_euler(_dirichlet((F(7, 4), F(7, 4)), F(15, 4)), [1.0, 1.0, 1.0], None, QuadConfig().doubled())
+
+
+def test_underflowing_integral_raises():
+    # the integral is about 7e-155, but its integrand underflows everywhere
+    f = EulerIntegrand(2, (LinearForm(((1, 0), (0, 1), (0, 0)), (1, 2, 3), F(-3)),), BLUEPRINT.prefactor)
+    with pytest.raises(QuadratureError):
+        evaluate_euler(f, [1.0, 1.0, 1e308], {"eps": 0.25})
+
+
+@pytest.mark.parametrize("params", [None, {"foo": 1.0}])
+def test_missing_exponent_parameter_is_named(params):
+    with pytest.raises(ValueError, match="'eps'"):
+        evaluate_euler(BLUEPRINT, [1.0] * 7, params)
+
+
 def test_three_variable_dirichlet():
     form = LinearForm(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), (1, 2, 3, 4), F(-5))
     f = EulerIntegrand(3, (form,), (F(1), F(1), F(1)))

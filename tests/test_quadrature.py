@@ -97,3 +97,68 @@ def test_config_rejects_values_it_cannot_honour(config):
 def test_doubled_config_is_valid():
     assert QuadConfig().doubled() == QuadConfig(1e-10, 96, 80000)
     assert adaptive_quad(np.exp, 0.0, 1.0, QuadConfig(max_depth=0)) == pytest.approx(np.e - 1, rel=1e-14)
+
+
+def _recording_panels(monkeypatch):
+    """Replace _panels by a wrapper; returns the list of (lo, hi, lane) of
+    every round it sees."""
+    import posgeom.quadrature as quadrature
+
+    rounds = []
+    panels = quadrature._panels
+
+    def record(f, lo, hi, lane):
+        rounds.append((lo.copy(), hi.copy(), lane.copy()))
+        return panels(f, lo, hi, lane)
+
+    monkeypatch.setattr(quadrature, "_panels", record)
+    return rounds
+
+
+def test_graded_lanes_reach_both_endpoints_in_few_rounds(monkeypatch):
+    # x^-1/2 at 0 and (1 - x)^-0.3 at 1; plain bisection takes 44 rounds
+    rounds = _recording_panels(monkeypatch)
+    values = _lane_quad(
+        lambda x, lane: np.where(lane == 0, x**-0.5, (1 - x) ** -0.3), 2, 0.0, 1.0, QuadConfig(), graded=True
+    )
+    assert np.abs(values / [2.0, 1 / 0.7] - 1).max() < 1e-8
+    assert len(rounds) <= 22
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 3.0)])
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("max_depth", [20, 48])
+def test_panels_never_finer_than_max_depth_nor_below_resolution(monkeypatch, a, b, graded, max_depth):
+    # lane 0 is not integrable at a, so it refines there to max_depth unless
+    # the nodes of its halves would round onto their ends first, as they do
+    # near x = 1 at depth 48; lane 1 refines toward b until they would
+    rounds = _recording_panels(monkeypatch)
+    with pytest.raises(QuadratureError):
+        _lane_quad(
+            lambda x, lane: np.where(lane == 0, 1 / (x - a), (b - x) ** -0.9), 2, a, b,
+            QuadConfig(max_depth=max_depth), graded=graded,
+        )
+    finest = (b - a) * 2.0**-max_depth
+    lo, hi, _ = (np.concatenate(column) for column in zip(*rounds))
+    assert (hi - lo >= finest).all()
+    assert (hi - lo == finest).any() == (max_depth == 20 or a == 0.0)
+    x = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
+    assert ((x > lo[:, None]) & (x < hi[:, None])).all()
+
+
+def test_interval_budget_counts_graded_pieces(monkeypatch):
+    # a lane singular at both ends splits each end panel into four pieces
+    def f(x, lane):
+        return (x * (1 - x)) ** -0.5
+
+    rounds = _recording_panels(monkeypatch)
+    value = _lane_quad(f, 1, 0.0, 1.0, QuadConfig(), graded=True)[0]
+    assert value == pytest.approx(np.pi, rel=1e-8)
+    most = max(len(lo) for lo, _, _ in rounds)
+    assert _lane_quad(f, 1, 0.0, 1.0, QuadConfig(max_intervals=most), graded=True)[0] == value
+    with pytest.raises(QuadratureError, match="budget"):
+        _lane_quad(f, 1, 0.0, 1.0, QuadConfig(max_intervals=most - 1), graded=True)
+
+
+def test_reversed_interval_negates():
+    assert adaptive_quad(lambda x: x**-0.5, 1.0, 0.0) == pytest.approx(-2.0, rel=1e-8)
