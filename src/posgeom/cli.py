@@ -262,8 +262,8 @@ def cmd_canonical_form(args, inputs):
         dims = {len(r) for r in (data["V"] if data.get("V") else [f["a"] for f in data["H"]])}
     except (KeyError, TypeError):
         dims = set()
-    if len(dims) == 1 and dims.pop() > 2:
-        raise ValidationError("canonical_function implemented for dim <= 2")
+    if len(dims) == 1 and (dim := dims.pop()) > MAX_CANONICAL_DIM:
+        raise ValidationError(f"canonical-form takes dimension at most {MAX_CANONICAL_DIM}, got {dim}")
     try:
         poly = Polytope.from_dict(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -295,6 +295,9 @@ def cmd_abhy(args, inputs):
 
 # verify_u_equations takes 0.7 s at n = 7 and 9 s at n = 8, growing fast
 MAX_U_EQUATIONS_N = 8
+# the fan canonical function takes 0.05 s on the six-point ABHY associahedron
+# (dimension 3, 14 vertices) and 270 s on the seven-point one (dimension 4)
+MAX_CANONICAL_DIM = 3
 
 
 def cmd_dihedral(args, inputs):

@@ -672,10 +672,6 @@ class DenseTensor:
     def zeros(cls, dim: int, level: int) -> "DenseTensor":
         return cls(dim, level, [Fraction(0)] * dim**level)
 
-    @classmethod
-    def scalar(cls, dim: int, value) -> "DenseTensor":
-        return cls(dim, 0, [Fraction(value)])
-
     def get(self, index: Sequence[int]):
         if len(index) != self.level:
             raise IndexError("index length must equal tensor level")

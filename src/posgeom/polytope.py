@@ -16,26 +16,25 @@ normalized dual volume.  For a simplex it is the closed form
 
     1 / (d! * vol(S) * prod of barycentric coordinates),
 
-and a general polytope is handled by summing a fan triangulation from one
-vertex.  A polygon's fan has 2k - 3 distinct wall lines, the k facets and
-the k - 3 diagonals from the apex; each is keyed by its primitive integer
-coefficient vector, the triangles are summed over the product of those
-lines, and one exact division by the product of the diagonals (degree
-k - 3) leaves the numerator over the facet product.  Simple polytopes
-admit a second route, the sum over vertices of
-|det of the active facet normals| / product of the active facet forms; the
-two routes agree exactly and the test suite insists on it.  This is the
-unique normalization for which the pentagon built by abhy_pentagon has unit
+and a general polytope is handled by summing its pulling triangulation
+from one vertex, in every dimension; the same simplices give the volume.
+The sum runs over the distinct walls of the triangulation, and exact
+divisions by the interior walls leave the numerator over the facet product.
+Simple polytopes admit a second route, the sum over vertices of |det of the
+active facet normals| / product of the active facet forms; the two routes
+agree exactly and the test suite insists on it.  This is the unique
+normalization for which the pentagon built by abhy_pentagon has unit
 numerators over adjacent facet pairs, so its canonical function reproduces
 the five-point tree amplitude.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 from .exact import (
@@ -44,7 +43,6 @@ from .exact import (
     _integer_row,
     _primitive_integer,
     det,
-    matrix_rank,
     solve_linear,
 )
 
@@ -134,8 +132,10 @@ class Polytope:
         if rays is None:
             raise ValueError("point set is lower-dimensional")
         facets = sorted((tuple(Fraction(-x) for x in w[:d]), Fraction(-w[d])) for w, _ in rays)
-        # a point is a vertex when the facets tight on it have rank d
-        vertices = [p for i, p in enumerate(points) if matrix_rank([w[:d] for w, z in rays if z >> i & 1]) == d]
+        # a point is a vertex when no other point lies on every facet through
+        # it, that is, when no other point's facet set contains its own
+        on = [functools.reduce(operator.and_, (z for _, z in rays if z >> i & 1), -1) for i in range(len(points))]
+        vertices = [p for i, p in enumerate(points) if on[i] == 1 << i]
         return cls(d, tuple(facets), tuple(vertices))
 
     @classmethod
@@ -156,14 +156,20 @@ class Polytope:
             raise ValueError("unbounded halfline" if d == 1 else "halfspace intersection is unbounded")
         if not rays:
             raise ValueError("halfspace intersection is empty")
-        if matrix_rank([w for w, _ in rays]) <= d:
+        # the vertices each row is tight on (0.x <= b: on all or none); a
+        # row with a != 0 tight on all is an equation of P, and the facets are
+        # the rows whose tight sets are maximal, scaled to primitive integers
+        tight = [
+            (r, sum(1 << j for j, (_, z) in enumerate(rays) if z >> i & 1))
+            for i, r in enumerate(rows)
+            if any(r[:d])
+        ]
+        if any(t == (1 << len(rays)) - 1 for _, t in tight):
             raise ValueError("point set is lower-dimensional")
-        # an input halfspace is a facet when its tight vertices span a hyperplane;
-        # scaled to primitive integers it is the facet from_vertices finds
         facets = {
             (tuple(Fraction(-x, math.gcd(*r)) for x in r[:d]), Fraction(r[d], math.gcd(*r)))
-            for i, r in enumerate(rows)
-            if matrix_rank([w for w, z in rays if z >> i & 1]) == d
+            for r, t in tight
+            if t and not any(t != u and t & u == t for _, u in tight)
         }
         vertices = sorted(tuple(Fraction(x, w[d]) for x in w[:d]) for w, _ in rays)
         return cls(d, tuple(sorted(facets)), tuple(vertices))
@@ -186,38 +192,41 @@ class Polytope:
         n = len(self.vertices)
         return tuple(sum(v[i] for v in self.vertices) / n for i in range(self.dim))
 
-    # --------------------------------------------------------------- volume
-    def boundary_cycle(self) -> list[Vector]:
-        """Vertices of a polygon in counterclockwise order (dim 2 only)."""
-        if self.dim != 2:
-            raise ValueError("boundary cycle is only defined for polygons")
-        c = self.centroid()
-        dirs = [(v[0] - c[0], v[1] - c[1]) for v in self.vertices]
+    # -------------------------------------------------------- triangulation
+    def _pulling_triangulation(self, apex: int) -> tuple[list[list[int]], list[list[int]], int]:
+        """Simplices, as vertex indices, of the pulling triangulation from
+        vertex apex: the cone from apex over every facet that misses it,
+        each facet triangulated the same way from its own first vertex, down
+        to faces that are simplices.  A face is the bitmask of its vertices;
+        the facets of a face are the inclusion-maximal proper nonempty sets
+        face & facet.  Returned with the vertices scaled to integers by
+        their common denominator, and the scale, which the incidence uses."""
+        flat, scale = _integer_row([x for v in self.vertices for x in v])
+        points = [flat[i : i + self.dim] for i in range(0, len(flat), self.dim)]
+        incidence = []
+        for a, b in self.facets:
+            *row, rhs = _integer_row((*a, b))[0]
+            incidence.append(sum(1 << i for i, p in enumerate(points) if sum(map(operator.mul, row, p)) == rhs * scale))
 
-        def half(u):
-            return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+        def pull(face: int, top: int, dim: int) -> list[int]:
+            if face.bit_count() == dim + 1:
+                return [face]
+            meets = {face & m for m in incidence} - {0, face}
+            return [
+                simplex | 1 << top
+                for f in sorted(meets)
+                if not f >> top & 1 and not any(f != g and f & g == f for g in meets)
+                for simplex in pull(f, (f & -f).bit_length() - 1, dim - 1)
+            ]
 
-        def cmp(i, j):
-            u, v = dirs[i], dirs[j]
-            if half(u) != half(v):
-                return -1 if half(u) < half(v) else 1
-            cross = u[0] * v[1] - u[1] * v[0]
-            return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-        order = sorted(range(len(self.vertices)), key=cmp_to_key(cmp))
-        return [self.vertices[i] for i in order]
+        simplices = pull((1 << len(points)) - 1, apex % len(points), self.dim)
+        return [[i for i in range(len(points)) if s >> i & 1] for s in simplices], points, scale
 
     def volume(self) -> Fraction:
-        if self.dim == 1:
-            xs = [v[0] for v in self.vertices]
-            return max(xs) - min(xs)
-        if self.dim == 2:
-            cyc = self.boundary_cycle()
-            twice = Fraction(0)
-            for p, q in zip(cyc, cyc[1:] + cyc[:1]):
-                twice += p[0] * q[1] - p[1] * q[0]
-            return abs(twice) / 2
-        raise NotImplementedError("volume implemented for dim <= 2")
+        """|det| of the rows (v, 1) over the pulling triangulation, over d!."""
+        simplices, points, scale = self._pulling_triangulation(0)
+        total = sum(abs(det([(*points[i], 1) for i in s])) for s in simplices)
+        return total / (scale**self.dim * math.factorial(self.dim))
 
     # ----------------------------------------------------------------- JSON
     def to_dict(self) -> dict:
@@ -279,39 +288,30 @@ def simplex_canonical(
     return RationalFunction(Polynomial.const(scale, variables), denominator)
 
 
-def _canonical_parts(
-    p: Polytope, variables: tuple[str, ...], apex: int
+def canonical_parts(
+    p: Polytope, variables: Sequence[str] | None = None, apex: int = 0
 ) -> tuple[Polynomial, Polynomial]:
-    """Fan-triangulation canonical function reduced onto the facet product.
+    """(numerator, facet-product denominator), both positive on the interior,
+    of the canonical function from the pulling triangulation from the vertex
+    p.vertices[apex].
 
-    The fan from one vertex (of a polygon's boundary cycle; a segment is its
-    own fan) has 2k - 3 distinct wall lines: the k facets and the k - 3
-    diagonals from the apex.  A wall is the kernel of the rows (v, 1) of
-    its vertices, keyed as a primitive integer vector with first nonzero
-    entry positive, so the two triangles on a diagonal share one form; a
-    facet wall's form is its facet form.  A simplex with walls w_i opposite
-    its vertices v_i contributes c / (product of the w_i), where
-    c = product of the w_i(v_i) over |det of the rows (v, 1)|.  The
-    canonical function is therefore N / (product of all walls), with N the
-    sum of each simplex's c times the walls it misses.  Times the facet
-    product that leaves N over the product of the diagonals, an exact
-    division by degree k - 3: the true poles are simple and lie on the
-    facets, so the diagonals cancel.
+    The walls of the triangulation are the facets of P and the interior
+    walls through the apex (for a k-gon, the k - 3 diagonals from it).  A
+    wall is the kernel of the rows (v, 1) of its vertices, keyed as a
+    primitive integer vector with first nonzero entry positive, so the
+    simplices on either side of an interior wall share one form; a facet
+    wall's form is its facet form.  A simplex with walls w_i opposite its
+    vertices v_i contributes c / (product of the w_i), where c = product of
+    the w_i(v_i) over |det of the rows (v, 1)|.  The simplices are summed
+    pairwise, round by round, over the union of their walls:
+    n1 / W1 + n2 / W2 = (n1 * (W2 - W1) + n2 * (W1 - W2)) / (W1 | W2).  An
+    interior wall both halves share is no pole of the sum once every
+    simplex on it is in, and is divided out there.  That leaves the
+    numerator over the facets and the interior walls still left, and one
+    exact division by those walls: the true poles are simple and lie on the
+    facets.
     """
-    if p.dim == 1:
-        simplices = [p.vertices]
-    elif p.dim == 2:
-        cyc = p.boundary_cycle()
-        k = len(cyc)
-        apex = apex % k
-        simplices = [
-            (cyc[apex], cyc[i], cyc[(i + 1) % k])
-            for i in range(k)
-            if apex not in (i, (i + 1) % k)
-        ]
-    else:
-        raise NotImplementedError("canonical_function implemented for dim <= 2")
-
+    variables = tuple(variables) if variables else default_variables(p.dim)
     # wall key -> (coefficients of the form over (x, 1), the form)
     walls: dict[tuple[int, ...], tuple[Sequence, Polynomial]] = {}
     target = Polynomial.const(1, variables)
@@ -320,10 +320,10 @@ def _canonical_parts(
         form = _linear_polynomial(coeffs, variables)
         walls[_primitive_integer(coeffs)] = (coeffs, form)
         target = target * form
-    diagonals = Polynomial.const(1, variables)
-    pieces = []
-    for simplex in simplices:
-        rows = [(*v, 1) for v in simplex]
+    facets = set(walls)
+    sums = []
+    for simplex in p._pulling_triangulation(apex)[0]:
+        rows = [(*p.vertices[i], 1) for i in simplex]
         c = 1 / abs(det(rows))
         keys = set()
         for i, row in enumerate(rows):
@@ -331,43 +331,44 @@ def _canonical_parts(
             (key,) = solve_linear(rows[:i] + rows[i + 1 :]).kernel
             if key not in walls:
                 walls[key] = (key, _linear_polynomial(key, variables))
-                diagonals = diagonals * walls[key][1]
             c *= _dot(walls[key][0], row)  # the wall's form at vertex i
             keys.add(key)
-        pieces.append((c, keys))
+        sums.append((Polynomial.const(c, variables), keys))
 
-    numerator = Polynomial.zero(variables)
-    for c, keys in pieces:
-        term = Polynomial.const(c, variables)
-        for key, (_, form) in walls.items():
-            if key not in keys:
-                term = term * form
-        numerator = numerator + term
-    reduced = numerator.divexact(diagonals)
+    while len(sums) > 1:
+        merged = []
+        for (n1, w1), (n2, w2) in zip(sums[::2], sums[1::2]):
+            for key in w2 - w1:
+                n1 = n1 * walls[key][1]
+            for key in w1 - w2:
+                n2 = n2 * walls[key][1]
+            n, w = n1 + n2, w1 | w2
+            for key in (w1 & w2) - facets:
+                if (q := n.divexact(walls[key][1])) is not None:
+                    n, w = q, w - {key}
+            merged.append((n, w))
+        sums = merged + sums[len(merged) * 2 :]
+    # every facet is a wall of some simplex and is never divided out
+    numerator, keys = sums[0]
+    interior = Polynomial.const(1, variables)
+    for key in keys - facets:
+        interior = interior * walls[key][1]
+    reduced = numerator.divexact(interior)
     if reduced is None:
-        raise AssertionError("the fan diagonals do not divide the wall sum")
+        raise AssertionError("the interior walls do not divide the wall sum")
     return reduced, target
-
-
-def canonical_parts(
-    p: Polytope, variables: Sequence[str] | None = None, apex: int = 0
-) -> tuple[Polynomial, Polynomial]:
-    """(numerator, facet-product denominator), both positive on the interior."""
-    variables = tuple(variables) if variables else default_variables(p.dim)
-    return _canonical_parts(p, variables, apex)
 
 
 def canonical_function(
     p: Polytope, variables: Sequence[str] | None = None, apex: int = 0
 ) -> RationalFunction:
-    """Canonical function via a fan triangulation from one vertex, returned
-    over the facet-product denominator (all poles simple, on facets only).
+    """Canonical function via the pulling triangulation from the vertex
+    p.vertices[apex], returned over the facet-product denominator (all poles
+    simple, on facets only).
 
     The result is independent of the apex; tests verify this exactly.
     """
-    variables = tuple(variables) if variables else default_variables(p.dim)
-    num, den = _canonical_parts(p, variables, apex)
-    return RationalFunction(num, den)
+    return RationalFunction(*canonical_parts(p, variables, apex))
 
 
 def canonical_vertex_sum(p: Polytope, variables: Sequence[str] | None = None) -> RationalFunction:
@@ -396,9 +397,7 @@ def canonical_vertex_sum(p: Polytope, variables: Sequence[str] | None = None) ->
 def adjoint(p: Polytope, variables: Sequence[str] | None = None) -> Polynomial:
     """Numerator of the canonical function over the full facet product,
     with integer content removed; positive on the interior of P."""
-    variables = tuple(variables) if variables else default_variables(p.dim)
-    num, _ = _canonical_parts(p, variables, 0)
-    return num.primitive()
+    return canonical_parts(p, variables)[0].primitive()
 
 
 def polar_dual(p: Polytope, x0: Sequence) -> Polytope:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 from itertools import combinations
 
 import pytest
@@ -133,11 +134,31 @@ def test_normalization_oracle():
         done += 1
 
 
+def counterclockwise(poly):
+    """Vertices of a polygon in counterclockwise order about its centroid,
+    by half-plane and then cross product."""
+    c = poly.centroid()
+    dirs = {v: (v[0] - c[0], v[1] - c[1]) for v in poly.vertices}
+
+    def half(u):
+        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+
+    def cmp(v, w):
+        u, t = dirs[v], dirs[w]
+        if half(u) != half(t):
+            return half(u) - half(t)
+        cross = u[0] * t[1] - u[1] * t[0]
+        return -1 if cross > 0 else int(cross < 0)
+
+    return sorted(poly.vertices, key=cmp_to_key(cmp))
+
+
 def reference_fan_parts(poly, apex=0, variables=("x1", "x2")):
-    """The fan route summed triangle by triangle: each triangle's canonical
-    function is added over the product of all triangle denominators, of
-    degree 3(k - 2), and the sum times the facet product is divided by it."""
-    cyc = poly.boundary_cycle()
+    """The fan route summed triangle by triangle over the boundary cycle:
+    each triangle's canonical function is added over the product of all
+    triangle denominators, of degree 3(k - 2), and the sum times the facet
+    product is divided by it."""
+    cyc = counterclockwise(poly)
     k = len(cyc)
     apex %= k
     pieces = []
@@ -188,6 +209,23 @@ def test_fan_over_distinct_walls_matches_the_triangle_by_triangle_sum(poly, apex
         num, den = canonical_parts(poly, apex=a)
         assert (num.terms, den.terms) == (reference[0].terms, reference[1].terms)
     assert rf_equal(RationalFunction(*reference), canonical_vertex_sum(poly))
+
+
+def shoelace_area(poly):
+    cyc = counterclockwise(poly)
+    return abs(sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(cyc, cyc[1:] + cyc[:1]))) / 2
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(convex_polygons())
+def test_volume_matches_the_shoelace_formula(poly):
+    assert poly.volume() == shoelace_area(poly)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.lists(RATIONAL_COORDS, min_size=2, max_size=6, unique=True))
+def test_segment_volume_is_max_minus_min(xs):
+    assert Polytope.from_vertices([(x,) for x in xs]).volume() == max(xs) - min(xs)
 
 
 def test_fan_route_stands_alone(monkeypatch):
@@ -566,3 +604,47 @@ def test_abhy_canonical_matches_expected_value():
     c = canonical_function(p, ("a", "b"))
     assert c.evaluate({"a": F(1), "b": F(1)}) == 5
     assert dual_volume_oracle(p, (F(1), F(1))) == 5
+
+
+CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+SIMPLEX_3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "points, volume",
+    [
+        (CUBE, 1),
+        (SIMPLEX_3, F(1, 6)),
+        (OCTAHEDRON, F(4, 3)),
+        ([tuple(k >> i & 1 for i in range(4)) for k in range(16)], 1),
+        ([(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)], F(1, 24)),
+    ],
+    ids=["cube", "simplex", "octahedron", "4-cube", "4-simplex"],
+)
+def test_volume_in_dimensions_3_and_4(points, volume):
+    assert Polytope.from_vertices(points).volume() == volume
+
+
+@pytest.mark.parametrize("name", ["cube", "simplex", "octahedron", "abhy6"])
+def test_canonical_function_in_dimension_3(name):
+    # the octahedron is not simple; the ABHY associahedron at six points is,
+    # and its canonical function is the tree amplitude
+    if name == "abhy6":
+        halfspaces, forms = abhy_halfspaces(6, random.Random(6))
+        p = Polytope.from_halfspaces(halfspaces)
+    else:
+        p = Polytope.from_vertices({"cube": CUBE, "simplex": SIMPLEX_3, "octahedron": OCTAHEDRON}[name])
+    num, den = canonical_parts(p)
+    for apex in range(1, len(p.vertices)):
+        other = canonical_parts(p, apex=apex)
+        assert (other[0].terms, other[1].terms) == (num.terms, den.terms), apex
+    fan = RationalFunction(num, den)
+    assert p.is_simple() == (name != "octahedron")
+    if p.is_simple():
+        assert rf_equal(fan, canonical_vertex_sum(p))
+    x0 = interior_point(p, 3)
+    value = fan.evaluate(dict(zip(("x1", "x2", "x3"), x0)))
+    assert value == dual_volume_oracle(p, x0)
+    if name == "abhy6":
+        planar = {d: sum(c * v for c, v in zip(coeffs, x0)) + const for d, (coeffs, const) in forms.items()}
+        assert value == tree_amplitude(kinematics_from_planar(6, planar))
