@@ -3,35 +3,41 @@ rationals, rational functions, dense tensors, and fraction-free linear
 algebra.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator).  A polynomial stores a name-sorted variable tuple
-and a sparse map exponent-tuple -> Fraction with no zero entries; the
-graded lexicographic order fixes every deterministic choice (printing,
+positive denominator) wherever they are read.  A polynomial stores a
+name-sorted variable tuple, a sparse map exponent-tuple -> nonzero integer
+numerator and one positive denominator; numerators and denominator have gcd
+1, so equal polynomials have equal integer forms.  `terms`, the map
+exponent-tuple -> Fraction, is built from them on first read and cached.
+The graded lexicographic order fixes every deterministic choice (printing,
 leading coefficients).  A rational function is a pair of polynomials
 normalized to coprime integer content with positive leading denominator
-coefficient.  Equality of rational functions is decided by exact
-cross-multiplication, so full multivariate gcd reduction is never needed.
+coefficient, so both have denominator 1.  Equality of rational functions
+compares numerators over equal denominators and cross-multiplies
+otherwise, so full multivariate gcd reduction is never needed.
 
-Inner loops run on integers and results are Fractions.  One lcm scaling
-turns a row of rationals into integers over a common denominator.  The
-polynomial product convolves the scaled coefficients of its operands and
-divides by the product of their scales once per output term.  Exact
-division runs the long division on the scaled dividend and the primitive
-part of the scaled divisor, whose quotient is integral by Gauss's lemma.
-Linear algebra scales each row and runs one fraction-free (Bareiss)
-elimination, which serves the determinant, the rank and the solver alike:
-every intermediate entry is a minor of the scaled input, so no rational
-arithmetic happens until back-substitution (Bareiss, Math. Comp. 22,
-1968).
+Arithmetic runs on the integer forms and builds no Fraction.  A sum scales
+both numerator maps to the lcm of the denominators; a product convolves the
+numerators over the product of the denominators; each divides out the gcd
+of the result.  Exact division runs the long division on the dividend's
+numerators and the primitive part of the divisor's, whose quotient is
+integral by Gauss's lemma.  A dense tensor likewise keeps integer entries
+over one denominator and builds its `entries` Fractions on first read.
+Linear algebra scales each row to integers over the lcm of its denominators
+and runs one fraction-free (Bareiss) elimination, which serves the
+determinant, the rank and the solver alike: every intermediate entry is a
+minor of the scaled input, so no rational arithmetic happens until
+back-substitution (Bareiss, Math. Comp. 22, 1968).
 
 The Polynomial constructor checks and cleans outside input: it sorts the
 variables, converts the coefficients and drops zero terms.  Sums,
-products, negations, embeddings and quotients build clean terms
-themselves and go through a trusted constructor that skips those checks.
+products, negations, embeddings and quotients build clean integer forms
+themselves and go through trusted constructors that skip those checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -53,9 +59,10 @@ def _sorted_terms(terms: dict) -> list:
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with rational coefficients, stored as
+    integer numerators over one positive denominator."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_num", "_den", "_terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, object]):
         variables = tuple(variables)
@@ -80,21 +87,49 @@ class Polynomial:
                     del clean[key]
                     continue
             clean[key] = coeff
-        object.__setattr__(self, "vars", svars)
-        object.__setattr__(self, "terms", clean)
+        # reduced coefficients over the lcm of their denominators share no
+        # factor with it, so the integer form needs no further reduction
+        ints, den = _integer_row(clean.values())
+        self._fill(svars, dict(zip(clean, ints)), den, clean)
+
+    def _fill(self, variables, num, den, terms) -> "Polynomial":
+        setattr_ = object.__setattr__
+        setattr_(self, "vars", variables)
+        setattr_(self, "_num", num)
+        setattr_(self, "_den", den)
+        setattr_(self, "_terms", terms)
+        return self
 
     @classmethod
-    def _clean(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "Polynomial":
-        """Trusted construction from terms that are already clean: variables
-        name-sorted and distinct, keys of matching length, Fraction values
-        and no zero terms.  The arithmetic below builds its results so."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "vars", variables)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+    def _clean(cls, variables: tuple[str, ...], num: dict[Exponent, int], den: int = 1) -> "Polynomial":
+        """Trusted construction from an integer form that is already clean:
+        variables name-sorted and distinct, keys of matching length, nonzero
+        int numerators and a positive den coprime to their gcd.  The
+        arithmetic below builds its results so."""
+        return object.__new__(cls)._fill(variables, num, den, None)
+
+    @classmethod
+    def _reduced(cls, variables: tuple[str, ...], num: dict[Exponent, int], den: int) -> "Polynomial":
+        """Trusted construction that divides num and den by their gcd."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        return cls._clean(variables, num, den)
 
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """exponent -> nonzero Fraction coefficient, built on first read."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = {e: Fraction(c, den) for e, c in self._num.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -113,37 +148,36 @@ class Polynomial:
     # ------------------------------------------------------------ structure
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self._num.values()), 0), self._den)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def leading_coefficient(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        expo = max(self.terms, key=_grlex_key)
-        return self.terms[expo]
+        return Fraction(self._num[max(self._num, key=_grlex_key)], self._den)
 
     def _embed(self, new_vars: tuple[str, ...]) -> "Polynomial":
         if new_vars == self.vars:
             return self
         pos = {v: i for i, v in enumerate(new_vars)}
-        terms = {}
-        for expo, coeff in self.terms.items():
+        num = {}
+        for expo, coeff in self._num.items():
             key = [0] * len(new_vars)
             for v, e in zip(self.vars, expo):
                 key[pos[v]] = e
-            terms[tuple(key)] = coeff
-        return Polynomial._clean(new_vars, terms)
+            num[tuple(key)] = coeff
+        return Polynomial._clean(new_vars, num, self._den)
 
     @staticmethod
     def aligned(p: "Polynomial", q: "Polynomial"):
@@ -160,20 +194,23 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = Polynomial.aligned(self, other)
-        terms = dict(a.terms)
-        for expo, coeff in b.terms.items():
-            if expo in terms:
-                coeff += terms[expo]
+        den = math.lcm(a._den, b._den)
+        fa, fb = den // a._den, den // b._den
+        num = dict(a._num) if fa == 1 else {e: c * fa for e, c in a._num.items()}
+        for expo, coeff in b._num.items():
+            coeff *= fb
+            if expo in num:
+                coeff += num[expo]
                 if not coeff:
-                    del terms[expo]
+                    del num[expo]
                     continue
-            terms[expo] = coeff
-        return Polynomial._clean(a.vars, terms)
+            num[expo] = coeff
+        return Polynomial._reduced(a.vars, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._clean(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._clean(self.vars, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -187,23 +224,20 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial._clean(self.vars, {})
-            return Polynomial._clean(self.vars, {e: k * c for e, k in self.terms.items()})
+            p, q = other.numerator, other.denominator
+            return Polynomial._reduced(self.vars, {e: k * p for e, k in self._num.items()}, self._den * q)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = Polynomial.aligned(self, other)
-        ia, la = _integer_row(a.terms.values())
-        ib, lb = _integer_row(b.terms.values())
-        right = list(zip(b.terms, ib))
+        right = list(b._num.items())
         acc: dict[Exponent, int] = {}
-        for ea, ca in zip(a.terms, ia):
+        for ea, ca in a._num.items():
             for eb, cb in right:
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(operator.add, ea, eb))
                 acc[key] = acc.get(key, 0) + ca * cb
-        l = la * lb
-        return Polynomial._clean(a.vars, {e: Fraction(c, l) for e, c in acc.items() if c})
+        return Polynomial._reduced(a.vars, {e: c for e, c in acc.items() if c}, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -225,7 +259,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = Polynomial.aligned(self, other)
-        return a.terms == b.terms
+        return a._den == b._den and a._num == b._num
 
     __hash__ = None
 
@@ -236,16 +270,18 @@ class Polynomial:
         if missing:
             raise ValueError(f"missing values for {missing}")
         exact = all(isinstance(values[v], (int, Fraction)) for v in self.vars)
-        total = Fraction(0) if exact else 0.0 + 0.0j if any(
+        total = 0 if exact else 0.0 + 0.0j if any(
             isinstance(values[v], complex) for v in self.vars
         ) else 0.0
-        for expo, coeff in self.terms.items():
-            term = coeff if exact else float(coeff)
+        den = self._den
+        for expo, coeff in self._num.items():
+            # int / int is correctly rounded, as float() of the reduced Fraction is
+            term = coeff if exact else coeff / den
             for v, e in zip(self.vars, expo):
                 if e:
                     term = term * values[v] ** e
             total = total + term
-        return total
+        return Fraction(total, den) if exact else total
 
     def subs(self, assignments: Mapping[str, object]) -> "Polynomial":
         """Substitute exact values for a subset of variables."""
@@ -267,40 +303,36 @@ class Polynomial:
         if var not in self.vars:
             return Polynomial.zero(self.vars)
         i = self.vars.index(var)
-        terms = {}
-        for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            key = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
-            terms[key] = terms.get(key, Fraction(0)) + coeff * expo[i]
-        return Polynomial(self.vars, terms)
+        num = {
+            expo[:i] + (expo[i] - 1,) + expo[i + 1 :]: coeff * expo[i]
+            for expo, coeff in self._num.items()
+            if expo[i]
+        }
+        return Polynomial._reduced(self.vars, num, self._den)
 
     # -------------------------------------------------------- normalization
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators over lcm of denominators."""
-        ints, l = _integer_row(self.terms.values())
-        return Fraction(math.gcd(*ints), l)
+        return Fraction(math.gcd(*self._num.values()), self._den)
 
     def primitive(self) -> "Polynomial":
-        c = self.content()
-        if c in (0, 1):
+        g = math.gcd(*self._num.values())
+        if g in (0, 1) and self._den == 1:
             return self
-        return self * (1 / c)
+        return Polynomial._clean(self.vars, {e: c // g for e, c in self._num.items()})
 
     def divexact(self, divisor: "Polynomial"):
         """Exact quotient self/divisor, or None when divisor does not divide."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         a, b = Polynomial.aligned(self, divisor)
-        # self = ia / la and divisor = g * ib / lb with ib primitive; by
-        # Gauss's lemma ib divides ia in Z[x] if it does in Q[x], so the long
-        # division runs on integers and a fractional step means no quotient
-        ia, la = _integer_row(a.terms.values())
-        ib, lb = _integer_row(b.terms.values())
-        g = math.gcd(*ib)
-        right = [(eb, kb // g) for eb, kb in zip(b.terms, ib)]
+        # self = A / la and divisor = g * B / lb with B primitive; by Gauss's
+        # lemma B divides A in Z[x] if it does in Q[x], so the long division
+        # runs on integers and a fractional step means no quotient
+        g = math.gcd(*b._num.values())
+        right = [(eb, kb // g) for eb, kb in b._num.items()]
         lead_b, cb = max(right, key=lambda t: _grlex_key(t[0]))
-        rem = dict(zip(a.terms, ia))
+        rem = dict(a._num)
         quo: dict[Exponent, int] = {}
         while rem:
             lead_r = max(rem, key=_grlex_key)
@@ -312,14 +344,14 @@ class Polynomial:
                 return None
             quo[diff] = c
             for eb, kb in right:
-                key = tuple(x + y for x, y in zip(diff, eb))
+                key = tuple(map(operator.add, diff, eb))
                 val = rem.get(key, 0) - c * kb
                 if val:
                     rem[key] = val
                 else:
                     rem.pop(key, None)
-        scale = la * g
-        return Polynomial._clean(a.vars, {e: Fraction(c * lb, scale) for e, c in quo.items()})
+        lb = b._den
+        return Polynomial._reduced(a.vars, {e: c * lb for e, c in quo.items()}, a._den * g)
 
     # -------------------------------------------------------------- display
     def _monomial_str(self, expo: Exponent) -> str:
@@ -387,22 +419,28 @@ class RationalFunction:
     @staticmethod
     def _cancel_monomial(num: Polynomial, den: Polynomial):
         nv = len(num.vars)
-        low = [min(e[i] for e in num.terms) for i in range(nv)]
-        low = [min(low[i], min(e[i] for e in den.terms)) for i in range(nv)]
+        low = [min(e[i] for e in num._num) for i in range(nv)]
+        low = [min(low[i], min(e[i] for e in den._num)) for i in range(nv)]
         if not any(low):
             return num, den
-        shift = lambda p: Polynomial(
-            p.vars, {tuple(e - l for e, l in zip(expo, low)): c for expo, c in p.terms.items()}
+        shift = lambda p: Polynomial._clean(
+            p.vars, {tuple(map(operator.sub, expo, low)): c for expo, c in p._num.items()}, p._den
         )
         return shift(num), shift(den)
 
     @staticmethod
     def _normalize_content(num: Polynomial, den: Polynomial):
-        ints, l = _integer_row([*num.terms.values(), *den.terms.values()])
-        factor = Fraction(l, math.gcd(*ints))
-        if den.leading_coefficient() < 0:
-            factor = -factor
-        return num * factor, den * factor
+        """Scale both to integer coefficients with gcd 1 over the pair, and a
+        positive leading denominator coefficient."""
+        l = math.lcm(num._den, den._den)
+        fn, fd = l // num._den, l // den._den
+        g = math.gcd(math.gcd(*num._num.values()) * fn, math.gcd(*den._num.values()) * fd)
+        if den._num[max(den._num, key=_grlex_key)] < 0:
+            g = -g
+        if l == 1 and g == 1:
+            return num, den
+        scaled = lambda p, f: Polynomial._clean(p.vars, {e: c * f // g for e, c in p._num.items()})
+        return scaled(num, fn), scaled(den, fd)
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -474,10 +512,13 @@ class RationalFunction:
         return RationalFunction(self.num**k, self.den**k)
 
     def equivalent(self, other) -> bool:
-        """True iff self - other is identically zero (cross-multiplication)."""
+        """True iff self - other is identically zero: over one denominator
+        the numerators agree, and otherwise the cross products do."""
         rhs = self._coerce(other)
         if rhs is None:
             raise TypeError(f"cannot compare with {type(other)!r}")
+        if self.den == rhs.den:
+            return self.num == rhs.num
         return (self.num * rhs.den - rhs.num * self.den).is_zero
 
     def __eq__(self, other):
@@ -554,6 +595,14 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, whose rows it consumes."""
+    pivots, sign = _echelon(rows, len(rows))
+    if len(pivots) < len(rows):
+        return 0
+    return sign * rows[-1][-1] if rows else 1
+
+
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(rows)
@@ -565,10 +614,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
         ints, l = _integer_row(row)
         m.append(ints)
         den_scale *= l
-    pivots, sign = _echelon(m, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1], den_scale) if n else Fraction(1)
+    return Fraction(_integer_det(m), den_scale)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
@@ -651,9 +697,10 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence | None = None) -> Lin
 
 
 class DenseTensor:
-    """Level-k tensor of format d x ... x d, entries in row-major order."""
+    """Level-k tensor of format d x ... x d, entries in row-major order,
+    stored as integer numerators over one positive denominator."""
 
-    __slots__ = ("dim", "level", "entries")
+    __slots__ = ("dim", "level", "_num", "_den", "_entries")
 
     def __init__(self, dim: int, level: int, entries: Sequence):
         if dim < 1 or level < 0:
@@ -661,18 +708,50 @@ class DenseTensor:
         entries = tuple(entries)
         if len(entries) != dim**level:
             raise ValueError(f"expected {dim ** level} entries, got {len(entries)}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "entries", entries)
+        # reduced rationals over the lcm of their denominators share no
+        # factor with it
+        num, den = _integer_row(entries)
+        self._fill(dim, level, num, den)
+
+    def _fill(self, dim: int, level: int, num: Sequence[int], den: int) -> "DenseTensor":
+        setattr_ = object.__setattr__
+        setattr_(self, "dim", dim)
+        setattr_(self, "level", level)
+        setattr_(self, "_num", tuple(num))
+        setattr_(self, "_den", den)
+        setattr_(self, "_entries", None)
+        return self
+
+    @classmethod
+    def _reduced(cls, dim: int, level: int, num: Sequence[int], den: int) -> "DenseTensor":
+        """Trusted construction from dim**level ints over a positive den,
+        divided by their gcd."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        return object.__new__(cls)._fill(dim, level, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("DenseTensor is immutable")
 
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as Fractions, built on first read."""
+        entries = self._entries
+        if entries is None:
+            den = self._den
+            entries = tuple(Fraction(x, den) for x in self._num)
+            object.__setattr__(self, "_entries", entries)
+        return entries
+
     @classmethod
     def zeros(cls, dim: int, level: int) -> "DenseTensor":
-        return cls(dim, level, [Fraction(0)] * dim**level)
+        return cls._reduced(dim, level, [0] * dim**level, 1)
 
-    def get(self, index: Sequence[int]):
+    def _flat(self, index: Sequence[int]) -> int:
+        """Row-major position of a multi-index."""
         if len(index) != self.level:
             raise IndexError("index length must equal tensor level")
         flat = 0
@@ -680,26 +759,35 @@ class DenseTensor:
             if not 0 <= i < self.dim:
                 raise IndexError("index out of range")
             flat = flat * self.dim + i
-        return self.entries[flat]
+        return flat
+
+    def get(self, index: Sequence[int]) -> Fraction:
+        return Fraction(self._num[self._flat(index)], self._den)
 
     def add(self, other: "DenseTensor") -> "DenseTensor":
         if (self.dim, self.level) != (other.dim, other.level):
             raise ValueError("tensor shape mismatch")
-        return DenseTensor(self.dim, self.level, [a + b for a, b in zip(self.entries, other.entries)])
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return DenseTensor._reduced(self.dim, self.level, [a * fa + b * fb for a, b in zip(self._num, other._num)], den)
 
     def scale(self, factor) -> "DenseTensor":
-        return DenseTensor(self.dim, self.level, [a * factor for a in self.entries])
+        factor = Fraction(factor)
+        p = factor.numerator
+        return DenseTensor._reduced(self.dim, self.level, [a * p for a in self._num], self._den * factor.denominator)
 
     def outer(self, other: "DenseTensor") -> "DenseTensor":
         if self.dim != other.dim:
             raise ValueError("tensor dimension mismatch")
-        entries = [a * b for a in self.entries for b in other.entries]
-        return DenseTensor(self.dim, self.level + other.level, entries)
+        num = [a * b for a in self._num for b in other._num]
+        return DenseTensor._reduced(self.dim, self.level + other.level, num, self._den * other._den)
 
     def to_nested(self):
+        entries = self.entries
+
         def build(level: int, offset: int, stride: int):
             if level == 0:
-                return self.entries[offset]
+                return entries[offset]
             stride //= self.dim
             return [build(level - 1, offset + i * stride, stride) for i in range(self.dim)]
 
@@ -708,7 +796,7 @@ class DenseTensor:
     def __eq__(self, other):
         if not isinstance(other, DenseTensor):
             return NotImplemented
-        return (self.dim, self.level, self.entries) == (other.dim, other.level, other.entries)
+        return (self.dim, self.level, self._den, self._num) == (other.dim, other.level, other._den, other._num)
 
     __hash__ = None
 

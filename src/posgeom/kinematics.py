@@ -20,6 +20,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from .exact import _integer_row
+
 Diagonal = tuple[int, int]
 
 
@@ -80,23 +84,30 @@ class KinematicData:
         return cls(n, s)
 
 
+def _mandelstam(n: int, planar: Mapping[Diagonal, object], zero) -> list[list]:
+    """The matrix s_ab = X_{a,b+1} + X_{a+1,b} - X_ab - X_{a+1,b+1} of the
+    planar values, with X = zero on edges and degenerate pairs."""
+
+    def xval(i: int, j: int):
+        d = normalize_pair(i, j, n)
+        return planar[d] if d is not None else zero
+
+    s = [[zero] * n for _ in range(n)]
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            val = xval(a, b + 1) + xval(a + 1, b) - xval(a, b) - xval(a + 1, b + 1)
+            s[a - 1][b - 1] = val
+            s[b - 1][a - 1] = val
+    return s
+
+
 def kinematics_from_planar(n: int, planar: Mapping[Diagonal, Fraction]) -> KinematicData:
     """Build the Mandelstam matrix from free planar values on the diagonals."""
     diags = polygon_diagonals(n)
     missing = [d for d in diags if d not in planar]
     if missing:
         raise ValueError(f"missing planar values for {missing}")
-
-    def xval(i: int, j: int) -> Fraction:
-        d = normalize_pair(i, j, n)
-        return Fraction(planar[d]) if d is not None else Fraction(0)
-
-    s = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            val = xval(a, b + 1) + xval(a + 1, b) - xval(a, b) - xval(a + 1, b + 1)
-            s[a - 1][b - 1] = val
-            s[b - 1][a - 1] = val
+    s = _mandelstam(n, {d: Fraction(planar[d]) for d in diags}, Fraction(0))
     return KinematicData(n, tuple(tuple(row) for row in s))
 
 
@@ -117,18 +128,50 @@ def subset_invariant(k: KinematicData, subset: Sequence[int]) -> Fraction:
     return sum((k.s[a - 1][b - 1] for a, b in combinations(sorted(subset), 2)), Fraction(0))
 
 
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of values over every subset, indexed by the subset's bitmask."""
+    sums = np.zeros(1, dtype=values.dtype)
+    for v in values:
+        sums = np.concatenate([sums, sums + v])
+    return sums
+
+
 def is_generic(k: KinematicData) -> bool:
     """No vanishing multiparticle invariant (up to complementation).
 
     Vanishing subset invariants push scattering-equation roots onto the
     boundary of the moduli space and drop the critical-point count, so the
-    sampler screens them out.
+    sampler screens them out.  The check runs on the integer matrix s * L,
+    L the lcm of the denominators.
     """
-    for size in range(2, k.n // 2 + 1):
-        for subset in combinations(range(1, k.n + 1), size):
-            if subset_invariant(k, subset) == 0:
-                return False
+    flat, _ = _integer_row([x for row in k.s for x in row])
+    return _generic([flat[i : i + k.n] for i in range(0, len(flat), k.n)])
+
+
+def _generic(s: list[list[int]]) -> bool:
+    """No subset of 2 to n//2 particles has zero invariant, for an integer
+    momentum-conserving s.  The invariants of a subset and its complement are
+    equal, so the subsets of 2 to n - 2 of the particles 1..n-1 cover them
+    all.  Their invariants come by doubling a table indexed by bitmask:
+    adding particle j adds the sum of column j over the subset."""
+    n = len(s)
+    # no invariant exceeds half the total of |s| in magnitude
+    dtype = np.int64 if sum(abs(x) for row in s for x in row) < 2**63 else object
+    s = np.array(s, dtype=dtype)
+    inv, size = np.zeros(1, dtype=dtype), np.zeros(1, dtype=np.int64)
+    for j in range(n - 1):
+        grown = inv + _subset_sums(s[:j, j])
+        if np.any((grown == 0) & (size >= 1) & (size <= n - 3)):
+            return False
+        inv, size = np.concatenate([inv, grown]), np.concatenate([size, size + 1])
     return True
+
+
+# planar values are v/12 with 1 <= |v| <= 120 for the first 64 draws; the
+# later draws widen the grid, where 2^(n-1) subset invariants need more room
+# to all miss zero (from n = 12 on the first grid rarely suffices)
+SAMPLE_BOUNDS = (120, 120 * 10**6)
+DRAWS_PER_BOUND = 64
 
 
 def sample_kinematics(n: int, seed: int, positive: bool = False) -> KinematicData:
@@ -137,22 +180,23 @@ def sample_kinematics(n: int, seed: int, positive: bool = False) -> KinematicDat
     positive=True samples every planar variable > 0 (the region used by the
     string-integral limit); otherwise values are nonzero of either sign.
     Draws are repeated (still deterministically) until no multiparticle
-    invariant vanishes.
+    invariant vanishes, on a grid that widens after 64 failed draws.
     """
     rng = random.Random(seed)
-    for _ in range(64):
-        planar = {}
-        for d in polygon_diagonals(n):
-            if positive:
-                planar[d] = Fraction(rng.randint(1, 120), 12)
-            else:
-                v = 0
-                while v == 0:
-                    v = rng.randint(-120, 120)
-                planar[d] = Fraction(v, 12)
-        k = kinematics_from_planar(n, planar)
-        if is_generic(k):
-            return k
+    for bound in SAMPLE_BOUNDS:
+        for _ in range(DRAWS_PER_BOUND):
+            # 12 times the planar values
+            planar = {}
+            for d in polygon_diagonals(n):
+                if positive:
+                    planar[d] = rng.randint(1, bound)
+                else:
+                    v = 0
+                    while v == 0:
+                        v = rng.randint(-bound, bound)
+                    planar[d] = v
+            if _generic(_mandelstam(n, planar, 0)):
+                return kinematics_from_planar(n, {d: Fraction(v, 12) for d, v in planar.items()})
     raise RuntimeError("could not sample generic kinematics")
 
 

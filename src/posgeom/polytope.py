@@ -40,10 +40,10 @@ from typing import Mapping, Sequence
 from .exact import (
     Polynomial,
     RationalFunction,
+    _integer_det,
     _integer_row,
     _primitive_integer,
     det,
-    solve_linear,
 )
 
 Vector = tuple[Fraction, ...]
@@ -56,6 +56,14 @@ def _fracvec(v: Sequence) -> Vector:
 
 def _dot(a: Sequence, x: Sequence) -> Fraction:
     return sum((u * v for u, v in zip(a, x)), Fraction(0))
+
+
+def _wall_key(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The kernel of k - 1 integer rows of length k and rank k - 1: their
+    signed maximal minors, primitive with first nonzero entry positive."""
+    return _primitive_integer(
+        [(-1) ** j * _integer_det([[*r[:j], *r[j + 1 :]] for r in rows]) for j in range(len(rows) + 1)]
+    )
 
 
 def _join(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
@@ -225,8 +233,8 @@ class Polytope:
     def volume(self) -> Fraction:
         """|det| of the rows (v, 1) over the pulling triangulation, over d!."""
         simplices, points, scale = self._pulling_triangulation(0)
-        total = sum(abs(det([(*points[i], 1) for i in s])) for s in simplices)
-        return total / (scale**self.dim * math.factorial(self.dim))
+        total = sum(abs(_integer_det([[*points[i], 1] for i in s])) for s in simplices)
+        return Fraction(total, scale**self.dim * math.factorial(self.dim))
 
     # ----------------------------------------------------------------- JSON
     def to_dict(self) -> dict:
@@ -297,12 +305,15 @@ def canonical_parts(
 
     The walls of the triangulation are the facets of P and the interior
     walls through the apex (for a k-gon, the k - 3 diagonals from it).  A
-    wall is the kernel of the rows (v, 1) of its vertices, keyed as a
-    primitive integer vector with first nonzero entry positive, so the
-    simplices on either side of an interior wall share one form; a facet
-    wall's form is its facet form.  A simplex with walls w_i opposite its
-    vertices v_i contributes c / (product of the w_i), where c = product of
-    the w_i(v_i) over |det of the rows (v, 1)|.  The simplices are summed
+    wall is the kernel of the rows (v, 1) of its vertices, which is that of
+    the integer rows (s v, s), s the common denominator of the vertices:
+    their signed maximal minors, keyed as a primitive integer vector with
+    first nonzero entry positive, so the simplices on either side of an
+    interior wall share one form; a facet wall's form is its facet form.  A
+    simplex with walls w_i opposite its vertices v_i contributes
+    c / (product of the w_i), where c = product of the w_i(v_i) over
+    |det of the rows (v, 1)|: one integer product over |det of the rows
+    (s v, s)|, since the factors s^(d+1) cancel.  The simplices are summed
     pairwise, round by round, over the union of their walls:
     n1 / W1 + n2 / W2 = (n1 * (W2 - W1) + n2 * (W1 - W2)) / (W1 | W2).  An
     interior wall both halves share is no pole of the sum once every
@@ -312,28 +323,32 @@ def canonical_parts(
     facets.
     """
     variables = tuple(variables) if variables else default_variables(p.dim)
-    # wall key -> (coefficients of the form over (x, 1), the form)
-    walls: dict[tuple[int, ...], tuple[Sequence, Polynomial]] = {}
+    # wall key -> (integer coefficients of the form over (x, 1), the form);
+    # both builders store facets as primitive integer rows
+    walls: dict[tuple[int, ...], tuple[Sequence[int], Polynomial]] = {}
     target = Polynomial.const(1, variables)
     for a, b in p.facets:
-        coeffs = (*(-x for x in a), b)
+        coeffs = tuple(map(int, (*(-x for x in a), b)))
         form = _linear_polynomial(coeffs, variables)
         walls[_primitive_integer(coeffs)] = (coeffs, form)
         target = target * form
     facets = set(walls)
+    simplices, points, scale = p._pulling_triangulation(apex)
     sums = []
-    for simplex in p._pulling_triangulation(apex)[0]:
-        rows = [(*p.vertices[i], 1) for i in simplex]
-        c = 1 / abs(det(rows))
+    for simplex in simplices:
+        # the rows scale * (v, 1) have the walls of the rows (v, 1), and
+        # c = prod (c_i . row_i) / |det of the rows|
+        rows = [(*points[i], scale) for i in simplex]
+        num, den = 1, abs(_integer_det([list(row) for row in rows]))
         keys = set()
         for i, row in enumerate(rows):
             # the wall opposite vertex i is the kernel of the other rows
-            (key,) = solve_linear(rows[:i] + rows[i + 1 :]).kernel
+            key = _wall_key(rows[:i] + rows[i + 1 :])
             if key not in walls:
                 walls[key] = (key, _linear_polynomial(key, variables))
-            c *= _dot(walls[key][0], row)  # the wall's form at vertex i
+            num *= sum(map(operator.mul, walls[key][0], row))
             keys.add(key)
-        sums.append((Polynomial.const(c, variables), keys))
+        sums.append((Polynomial.const(Fraction(num, den), variables), keys))
 
     while len(sums) > 1:
         merged = []

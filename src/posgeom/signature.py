@@ -3,13 +3,15 @@
 The signature of a single segment with increment v is the tensor
 exponential: level k holds v tensored with itself k times over k!, built
 as an integer tensor power over the one denominator L^k k! (L the lcm of
-the denominators of v) with one Fraction per entry.
+the denominators of v).  Every level is a DenseTensor in integer form:
+integer entries over one denominator, reduced by their gcd, with Fractions
+built only when `entries` or `entry` is read.
 Segments compose by the truncated tensor-algebra product (Chen's rule), so
 a path's signature is a product of segment exponentials.  The product
-accumulates each level on integers over one common denominator, and every
-entry of the result is a Fraction, which turns the classical checks
-(Chen, refinement invariance, reversal inverse, shuffle relations) into
-exact equalities rather than tolerance tests.
+accumulates each level on integers over one common denominator.  The
+classical checks (Chen, refinement invariance, reversal inverse) compare
+integer forms and the shuffle relations compare Fraction entries, so they
+are exact equalities rather than tolerance tests.
 """
 
 from __future__ import annotations
@@ -101,25 +103,24 @@ class SignatureTensorStack:
         if self.dim != other.dim or self.depth != other.depth:
             raise ValueError("stack shape mismatch")
         d, depth = self.dim, self.depth
-        left = [_integer_row(t.entries) for t in self.levels]
-        right = [_integer_row(t.entries) for t in other.levels]
         out = []
         for k in range(depth + 1):
             # level k is the sum over i of A_i (x) B_{k-i}, accumulated as
-            # integers over the lcm of the products of the level scales
-            pairs = [(left[i], right[k - i]) for i in range(k + 1)]
-            l = math.lcm(*(la * lb for (_, la), (_, lb) in pairs))
+            # integers over the lcm of the products of the level denominators
+            pairs = [(self.levels[i], other.levels[k - i]) for i in range(k + 1)]
+            l = math.lcm(*(a._den * b._den for a, b in pairs))
             acc = [0] * d**k
-            for (ia, la), (ib, lb) in pairs:
-                f = l // (la * lb)
+            for a, b in pairs:
+                f = l // (a._den * b._den)
+                ib = b._num
                 width = len(ib)
-                for pos, x in enumerate(ia):
+                for pos, x in enumerate(a._num):
                     if x:
                         x *= f
                         base = pos * width
                         for j, y in enumerate(ib):
                             acc[base + j] += x * y
-            out.append(DenseTensor(d, k, [Fraction(v, l) for v in acc]))
+            out.append(DenseTensor._reduced(d, k, acc, l))
         return SignatureTensorStack(tuple(out))
 
     def __eq__(self, other):
@@ -131,7 +132,7 @@ class SignatureTensorStack:
 
 
 def identity_stack(dim: int, depth: int) -> SignatureTensorStack:
-    levels = [DenseTensor(dim, 0, [Fraction(1)])]
+    levels = [DenseTensor._reduced(dim, 0, [1], 1)]
     for k in range(1, depth + 1):
         levels.append(DenseTensor.zeros(dim, k))
     return SignatureTensorStack(tuple(levels))
@@ -145,11 +146,11 @@ def segment_signature(increment: Sequence[Fraction], depth: int) -> SignatureTen
     d = len(increment)
     u, l = _integer_row(increment)
     power, den = [1], 1
-    levels = [DenseTensor(d, 0, [Fraction(1)])]
+    levels = [DenseTensor._reduced(d, 0, power, den)]
     for k in range(1, depth + 1):
         power = [a * b for a in power for b in u]
         den *= l * k
-        levels.append(DenseTensor(d, k, [Fraction(a, den) for a in power]))
+        levels.append(DenseTensor._reduced(d, k, power, den))
     return SignatureTensorStack(tuple(levels))
 
 

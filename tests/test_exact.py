@@ -311,3 +311,140 @@ def test_arithmetic_results_are_clean(p, q, c):
         assert all(type(v) is F and v != 0 for v in r.terms.values())
         assert all(type(e) is tuple and len(e) == len(r.vars) for e in r.terms)
     assert (p - p).is_zero and (p * 0).is_zero
+
+
+# --------------------------------------------------------------------------
+# the integer form against a Fraction reference: a polynomial is a sorted
+# variable tuple and a map exponent -> nonzero Fraction, computed here with
+# Fraction arithmetic only
+# --------------------------------------------------------------------------
+
+
+def ref_embed(ref, names):
+    variables, terms = ref
+    out = {}
+    for expo, c in terms.items():
+        powers = dict(zip(variables, expo))
+        out[tuple(powers.get(v, 0) for v in names)] = c
+    return names, out
+
+
+def ref_aligned(a, b):
+    names = tuple(sorted(set(a[0]) | set(b[0])))
+    return ref_embed(a, names), ref_embed(b, names)
+
+
+def ref_add(a, b):
+    (names, ta), (_, tb) = ref_aligned(a, b)
+    out = dict(ta)
+    for expo, c in tb.items():
+        out[expo] = out.get(expo, F(0)) + c
+    return names, {e: c for e, c in out.items() if c}
+
+
+def ref_scale(a, c):
+    return a[0], {e: k * c for e, k in a[1].items() if k * c}
+
+
+def ref_mul(a, b):
+    (names, ta), (_, tb) = ref_aligned(a, b)
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, F(0)) + ca * cb
+    return names, {e: c for e, c in out.items() if c}
+
+
+def ref_str(a):
+    names, terms = a
+    if not terms:
+        return "0"
+    chunks = []
+    for expo, c in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, expo) if e)
+        body = mono if mono and abs(c) == 1 else f"{abs(c)}*{mono}" if mono else str(abs(c))
+        sign = ("-" if c < 0 else "") if not chunks else ("- " if c < 0 else "+ ")
+        chunks.append(sign + body)
+    return " ".join(chunks)
+
+
+def ref_content(a):
+    values = list(a[1].values())
+    if not values:
+        return F(0)
+    return F(math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values)))
+
+
+def matches(p, ref):
+    """p holds exactly the reference terms, as nonzero Fractions."""
+    names, terms = ref_embed(ref, p.vars)
+    return p.vars == names and p.terms == terms and all(type(c) is F and c for c in p.terms.values())
+
+
+@st.composite
+def operands(draw):
+    """A polynomial with its reference, built by the checked constructor or
+    by arithmetic on variables and constants (which never runs it on the
+    result's terms)."""
+    names = draw(st.sampled_from(["x", "y", "xy", "yx", "xz", "xyz"]))
+    expos = st.tuples(*[st.integers(0, 2)] * len(names))
+    terms = draw(st.dictionaries(expos, RATIONALS, max_size=4))
+    order = sorted(range(len(names)), key=lambda i: names[i])
+    ref = (tuple(names[i] for i in order), {tuple(e[i] for i in order): c for e, c in terms.items() if c})
+    if draw(st.booleans()):
+        return Polynomial(tuple(names), terms), ref
+    total = Polynomial.zero(tuple(names))
+    for expo, c in terms.items():
+        mono = Polynomial.const(3, tuple(names))
+        for v, e in zip(names, expo):
+            mono = mono * Polynomial.variable(v) ** e
+        # through denominators 3 and 2 and back
+        total = total + (c * mono) * F(1, 3) + F(1, 2) * mono - mono * F(1, 2)
+    return total, ref
+
+
+@PROPERTY
+@given(operands(), operands(), RATIONALS)
+def test_arithmetic_matches_the_fraction_reference(left, right, c):
+    (p, rp), (q, rq) = left, right
+    assert matches(p, rp) and matches(q, rq)
+    assert matches(p + q, ref_add(rp, rq))
+    assert matches(p - q, ref_add(rp, ref_scale(rq, F(-1))))
+    assert matches(-p, ref_scale(rp, F(-1)))
+    assert matches(p * q, ref_mul(rp, rq))
+    assert matches(p * c, ref_scale(rp, c)) and matches(c * p, ref_scale(rp, c))
+    assert matches(p * 2, ref_scale(rp, F(2))) and matches(p + 1, ref_add(rp, ((), {(): F(1)})))
+    assert str(p) == ref_str(rp) and str(p * q) == ref_str(ref_mul(rp, rq))
+    assert (p == q) == (ref_add(rp, ref_scale(rq, F(-1)))[1] == {})
+    assert p == Polynomial(p.vars, dict(p.terms)) and p + q - q == p
+    assert p.content() == ref_content(rp)
+    primitive = p.primitive()
+    assert matches(primitive, ref_scale(rp, 1 / ref_content(rp)) if rp[1] else rp)
+    if not q.is_zero:
+        quotient = (p * q).divexact(q)
+        assert quotient == p and matches(quotient, rp)
+        assert (q * 2 + 1).divexact(q * 2 + 1) == 1
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_dense_tensors_match_across_constructions(dim, level, data):
+    vectors = [data.draw(st.lists(RATIONALS, min_size=dim, max_size=dim)) for _ in range(level)]
+    factor = data.draw(RATIONALS)
+    # the Fraction reference of factor * v1 (x) ... (x) vk, row-major
+    entries = [
+        factor * math.prod((v[i] for v, i in zip(vectors, index)), start=F(1))
+        for index in itertools.product(range(dim), repeat=level)
+    ]
+    direct = DenseTensor(dim, level, entries)
+    built = DenseTensor(dim, 0, [1])
+    for v in vectors:
+        built = built.outer(DenseTensor(dim, 1, v))
+    built = built.scale(factor)
+    assert direct == built and built.add(DenseTensor.zeros(dim, level)) == direct
+    for t in (direct, built):
+        assert list(t.entries) == entries and all(type(x) is F for x in t.entries)
+    index = tuple(data.draw(st.integers(0, dim - 1)) for _ in range(level))
+    assert built.get(index) == direct.entries[sum(i * dim**k for k, i in enumerate(reversed(index)))]
+    assert (direct == built.add(DenseTensor(dim, level, [1] + [0] * (dim**level - 1)))) is False

@@ -1,0 +1,83 @@
+"""Byte-identity of the exact layer's printed results on a fixed corpus.
+
+The digests pin the str/repr of canonical functions (three apexes), adjoints,
+vertex sums, volumes, signature levels and ABHY pentagons.  A change to the
+arithmetic's internal representation must leave every one of these strings
+as it was.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+
+from posgeom.kinematics import abhy_constants, sample_abhy_kinematics
+from posgeom.polytope import (
+    Polytope,
+    abhy_pentagon,
+    adjoint,
+    canonical_function,
+    canonical_vertex_sum,
+)
+from posgeom.signature import PiecewiseLinearPath, signature
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def polytope_lines(tag, poly):
+    lines = [f"{tag} {json.dumps(poly.to_dict())} volume {poly.volume()}"]
+    for apex in range(3):
+        lines.append(f"{tag} apex {apex} {canonical_function(poly, apex=apex)!r}")
+    lines.append(f"{tag} adjoint {adjoint(poly)!r} {adjoint(poly)}")
+    if poly.is_simple():
+        lines.append(f"{tag} vertex sum {canonical_vertex_sum(poly)!r}")
+    return lines
+
+
+def polytope_corpus():
+    rng = random.Random(2026)
+    polys = []
+    for i in range(10):
+        nodes = sorted(rng.sample(range(-72, 72), rng.randint(3, 7)))
+        polys.append((f"moment{i}", Polytope.from_vertices([(F(t, 12), F(t, 12) ** 2) for t in nodes])))
+    while len(polys) < 20:
+        points = [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)) for _ in range(6)]
+        try:
+            polys.append((f"cloud{len(polys)}", Polytope.from_vertices(points)))
+        except ValueError:  # collinear draw
+            continue
+    while len(polys) < 24:
+        points = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)) for _ in range(6)]
+        try:
+            polys.append((f"solid{len(polys)}", Polytope.from_vertices(points)))
+        except ValueError:  # coplanar draw
+            continue
+    polys.append(("cube", Polytope.from_vertices([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])))
+    polys.append(("octahedron", Polytope.from_vertices([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])))
+    return polys
+
+
+def test_polytope_outputs_are_pinned():
+    lines = [line for tag, poly in polytope_corpus() for line in polytope_lines(tag, poly)]
+    assert digest(lines) == "2408ccdf1b1804a7ea5b3b4c84c6fd8bd6a5a391d09056f3e216a42e1748510f"
+
+
+def test_pentagon_outputs_are_pinned():
+    lines = []
+    for seed in range(20):
+        lines += polytope_lines(f"pentagon{seed}", abhy_pentagon(*abhy_constants(sample_abhy_kinematics(seed))))
+    assert digest(lines) == "6e7758ed7708f7e565644a5458a0b9a30695d9c7b1d95516ec3a1e794cef2ec4"
+
+
+def test_signature_levels_are_pinned():
+    rng = random.Random(4)
+    lines = []
+    for dim in (2, 3):
+        for i in range(6):
+            points = [tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)) for _ in range(rng.randint(2, 5))]
+            for level in signature(PiecewiseLinearPath.from_points(points), 4).levels:
+                lines.append(f"{dim} {i} {level!r} {[str(x) for x in level.entries]} {level.to_nested()}")
+    assert digest(lines) == "9887268084c91971c3f81e4c2519e72d505cabf4007b6a16d0db91607abe6d21"
+

@@ -1,4 +1,9 @@
+import hashlib
+import json
+import random
+import time
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +18,7 @@ from posgeom.kinematics import (
     polygon_diagonals,
     sample_abhy_kinematics,
     sample_kinematics,
+    subset_invariant,
 )
 
 
@@ -102,3 +108,56 @@ def test_cyclic_relabel_is_symmetric_conserving():
 def test_json_roundtrip():
     k = sample_kinematics(5, 3)
     assert KinematicData.from_dict(k.to_dict()) == k
+
+
+# the first grid (planar values v/12, 1 <= |v| <= 120) fails all 64 draws here
+FIRST_GRID_FAILURES = {(12, 28), (12, 41), (12, 47), (12, 48)}
+
+
+def test_sampled_kinematics_are_pinned():
+    # the JSON of every draw the first grid serves, as it was before the
+    # grid could widen and before is_generic ran on integers
+    lines = [
+        json.dumps(sample_kinematics(n, seed).to_dict())
+        for n in range(4, 13)
+        for seed in range(50)
+        if (n, seed) not in FIRST_GRID_FAILURES
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0e5dce3d0717519e5dd46510e4b85ffe81163ec2e9d9ad719078ba66963afe82"
+    for n, seed in FIRST_GRID_FAILURES:
+        assert is_generic(sample_kinematics(n, seed))
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_large_n_samples_in_under_a_second(n):
+    for positive in (False, True):
+        started = time.process_time()
+        k = sample_kinematics(n, 0, positive=positive)
+        assert time.process_time() - started < 1.0
+        assert all(sum(row) == 0 for row in k.s)
+        assert all(v > 0 for v in planar_variables(k).values()) or not positive
+
+
+def brute_force_generic(k):
+    return all(
+        subset_invariant(k, subset) != 0
+        for size in range(2, k.n // 2 + 1)
+        for subset in combinations(range(1, k.n + 1), size)
+    )
+
+
+def test_is_generic_matches_the_subset_enumeration():
+    # small grids make vanishing invariants common, and the 10**30 scale
+    # needs arbitrary-precision entries
+    rng = random.Random(0)
+    seen = set()
+    for trial in range(200):
+        n = rng.randint(4, 9)
+        scale = 10**30 if trial % 5 == 0 else 1
+        planar = {d: F(rng.randint(-6, 6), rng.choice((1, 2, 3))) * scale for d in polygon_diagonals(n)}
+        k = kinematics_from_planar(n, planar)
+        expected = brute_force_generic(k)
+        assert is_generic(k) == expected
+        seen.add(expected)
+    assert seen == {True, False}

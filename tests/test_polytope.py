@@ -31,6 +31,7 @@ from posgeom.polytope import (
     cone_facet_normals,
     dual_volume_oracle,
     facet_form,
+    _wall_key,
     polar_dual,
     simplex_canonical,
 )
@@ -308,7 +309,7 @@ def full_dimensional_polytopes(draw):
         assume(False)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(full_dimensional_polytopes(), st.integers(0, 2**32))
 def test_hrep_vrep_roundtrip_property(poly, seed):
     assert Polytope.from_halfspaces(redundant_halfspaces(poly, random.Random(seed))) == poly
@@ -648,3 +649,17 @@ def test_canonical_function_in_dimension_3(name):
     if name == "abhy6":
         planar = {d: sum(c * v for c, v in zip(coeffs, x0)) + const for d, (coeffs, const) in forms.items()}
         assert value == tree_amplitude(kinematics_from_planar(6, planar))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.data())
+def test_wall_key_is_the_primitive_kernel(d, scale, data):
+    # the fan's rows are (scale * v, scale) for integer scale * v; their
+    # signed maximal minors span the kernel of the rows (v, 1)
+    coords = st.integers(-5, 5)
+    points = [data.draw(st.lists(coords, min_size=d, max_size=d)) for _ in range(d + 1)]
+    assume(det([[F(x) for x in p] + [1] for p in points]) != 0)
+    for i in range(d + 1):
+        others = points[:i] + points[i + 1 :]
+        key = _wall_key([(*p, scale) for p in others])
+        assert key == solve_linear([[F(x, scale) for x in p] + [1] for p in others]).kernel[0]
