@@ -72,6 +72,8 @@ from .grassmann import (
 from .kinematics import (
     KinematicData,
     abhy_constants,
+    abhy_mesh,
+    abhy_planar_forms,
     dihedral_exponents,
     is_generic,
     kinematics_from_planar,
@@ -82,6 +84,7 @@ from .kinematics import (
 )
 from .polytope import (
     Polytope,
+    abhy_associahedron,
     abhy_facet_forms,
     abhy_identity_symbolic,
     abhy_pentagon,

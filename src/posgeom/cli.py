@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import __version__
 from .chy import WrongCountError, chy_amplitude, solve_scattering
 from .dihedral import dihedral_scattering_residual, verify_u_equations
-from .exact import PoleError
+from .exact import PoleError, Polynomial
 from .gkz import (
     DivergentIntegralError,
     EulerIntegrand,
@@ -43,7 +43,6 @@ from .polytope import Polytope, abhy_pentagon, adjoint, canonical_function, cano
 from .quadrature import QuadratureError
 from .signature import PiecewiseLinearPath, signature
 from .trees import enumerate_triangulations, tree_amplitude
-from .exact import Polynomial
 
 
 class ValidationError(ValueError):
@@ -278,11 +277,9 @@ def cmd_canonical_form(args, inputs):
 
 
 def cmd_abhy(args, inputs):
-    c13 = _fraction(args.s13, "--s13")
-    c14 = _fraction(args.s14, "--s14")
-    c24 = _fraction(args.s24, "--s24")
+    mesh = [_fraction(getattr(args, name), f"--{name}") for name in ("s13", "s14", "s24")]
     try:
-        pentagon = abhy_pentagon(c13, c14, c24)
+        pentagon = abhy_pentagon(*mesh)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     num, den = canonical_parts(pentagon, ("a", "b"))
@@ -411,9 +408,8 @@ def cmd_crosscheck(args, inputs):
         raise ValidationError("crosscheck is defined for n = 5 kinematics")
     planar = planar_variables(k)
     tree = tree_amplitude(k)  # raises PoleError on a vanishing planar variable
-    c13, c14, c24 = abhy_constants(k)
-    pentagon = abhy_pentagon(c13, c14, c24)
-    rf = canonical_function(pentagon, ("a", "b"))
+    mesh = abhy_constants(k)
+    rf = canonical_function(abhy_pentagon(*mesh), ("a", "b"))
     dual = rf.evaluate({"a": k.entry(2, 3), "b": k.entry(3, 4)})
     points = solve_scattering(k, tol=args.tol, seed=args.seed)
     chy = chy_amplitude(k, points)
@@ -421,7 +417,7 @@ def cmd_crosscheck(args, inputs):
     return {
         "planar_variables": {"{}-{}".format(*d): str(v) for d, v in sorted(planar.items())},
         "tree_amplitude": str(tree),
-        "pentagon_constants": [str(c13), str(c14), str(c24)],
+        "pentagon_constants": [str(c) for c in mesh],
         "dual_volume_value": str(dual),
         "tree_equals_dual_volume": tree == dual,
         "chy_sum": _jsonify(complex(chy)),
@@ -465,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_canonical_form)
 
     p = add_parser("abhy", help="the pentagon realization")
-    p.add_argument("--s13", required=True)
-    p.add_argument("--s14", required=True)
-    p.add_argument("--s24", required=True)
+    p.add_argument("--s13", required=True, help="mesh constant c13 = -s13 > 0, as abhy_constants returns it")
+    p.add_argument("--s14", required=True, help="mesh constant c14 = -s14 > 0")
+    p.add_argument("--s24", required=True, help="mesh constant c24 = -s24 > 0")
     p.set_defaults(func=cmd_abhy)
 
     p = add_parser("dihedral", help="u-equations or the scattering-matrix residual")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chy import CriticalPoint, minors, moduli_coordinates
 from .exact import Polynomial, RationalFunction
-from .kinematics import Diagonal, KinematicData, dihedral_exponents, polygon_diagonals
+from .kinematics import Diagonal, KinematicData, planar_variables, polygon_diagonals
 from .trees import crossing
 
 
@@ -111,8 +111,6 @@ def potential_exponents(k: KinematicData) -> dict[Diagonal, Fraction]:
     the labeling the 5 x 5 scattering matrix is written in).  The test suite
     re-derives this identification from scratch.
     """
-    from .kinematics import planar_variables
-
     planar = planar_variables(k)
     return {d: planar[rotate_diagonal(d, 1)] for d in polygon_diagonals(5)}
 
@@ -148,8 +146,6 @@ def dihedral_scattering_residual(k: KinematicData, pt: CriticalPoint) -> float:
     """
     if k.n != 5:
         raise ValueError("the dihedral scattering matrix is for n = 5")
-    from .kinematics import planar_variables
-
     coords = moduli_coordinates(5)
     point = {v: complex(c) for v, c in zip(coords, pt.coords)}
     values = chart_values(point, 5)

@@ -7,6 +7,12 @@ inverse dictionary s_ab = X_{a,b+1} + X_{a+1,b} - X_{ab} - X_{a+1,b+1}
 (indices mod n, edges and degenerate pairs contributing zero) produces a
 conserving matrix identically, so sampling never has to solve constraints.
 
+The ABHY chart (Arkani-Hamed-Bai-He-Yan) is written here once for every n:
+fixing the mesh constants c_ij = -s_ij, i, j != n nonadjacent, leaves the
+coordinates X_{i,i+2}, 2 <= i <= n-2, in which every planar variable is an
+affine form; polytope.abhy_associahedron builds {X_D >= 0} from them.  The
+pentagon's constants and sampler are the n = 5 case.
+
 The dihedral exponents computed here are a different object from the planar
 variables, even though the defining combination looks alike; the two are
 kept as separate functions and never conflated.
@@ -112,14 +118,19 @@ def kinematics_from_planar(n: int, planar: Mapping[Diagonal, Fraction]) -> Kinem
 
 
 def planar_variables(k: KinematicData) -> dict[Diagonal, Fraction]:
-    """Planar variables X_ij = sum of s_ab over the window i <= a < b <= j-1."""
+    """Planar variables X_ij = sum of s_ab over the window i <= a < b <= j-1,
+    by X_{i,j+1} = X_ij + sum of s_aj over i <= a < j on the integers s * L
+    (L the lcm of the denominators): one Fraction per diagonal."""
+    n = k.n
+    # the s_aj, a < j <= n - 1, column by column: column j starts at (j-1)(j-2)/2
+    flat, scale = _integer_row([x for j in range(1, n - 1) for x in k.s[j][:j]])
     out = {}
-    for (i, j) in polygon_diagonals(k.n):
-        total = Fraction(0)
-        for a in range(i, j):
-            for b in range(a + 1, j):
-                total += k.s[a - 1][b - 1]
-        out[(i, j)] = total
+    for i in range(1, n - 1):
+        x = 0
+        for j in range(i + 1, n - 1 if i == 1 else n):  # X_1n is no diagonal
+            start = (j - 1) * (j - 2) // 2
+            x += sum(flat[start + i - 1 : start + j - 1])
+            out[(i, j + 1)] = Fraction(x, scale)
     return out
 
 
@@ -219,29 +230,57 @@ def cyclic_relabel(k: KinematicData, shift: int = 1) -> KinematicData:
     return KinematicData(n, s)
 
 
-def abhy_constants(k: KinematicData) -> tuple[Fraction, Fraction, Fraction]:
-    """Mesh constants (c13, c14, c24) of the pentagon realization for n = 5.
+def _mesh_pairs(n: int) -> list[Diagonal]:
+    """The pairs 1 <= i < j - 1 <= n - 2, sorted by j: (1,3), (1,4), (2,4), (1,5), ..."""
+    return [(i, j) for j in range(3, n) for i in range(1, j - 1)]
 
-    c13 = X13 + X24 - X14, c14 = X14 + X25 - X24, c24 = X24 + X35 - X25 in
-    the planar variables of k.  All three must be positive for the pentagon
-    to exist; sample_abhy_kinematics generates such points.
+
+def abhy_mesh(k: KinematicData) -> tuple[Fraction, ...]:
+    """The mesh constants c_ij = -s_ij of a kinematic point, in the order of
+    _mesh_pairs; the point lies in an ABHY associahedron when all are positive."""
+    return tuple(-k.s[i - 1][j - 1] for i, j in _mesh_pairs(k.n))
+
+
+def abhy_planar_forms(n: int, mesh: Sequence) -> dict[Diagonal, tuple[tuple[int, ...], object]]:
+    """Every planar variable X_D of the n-point ABHY chart with the given
+    mesh, as (integer coefficients on X_{i,i+2} for 2 <= i <= n-2, constant).
+
+    For i >= 2 the window of X_ij holds the coordinates s_{a,a+1} and mesh pairs:
+        X_ij = sum_{a=i}^{j-2} X_{a,a+2} - sum_{i <= a, a+2 <= b <= j-1} c_ab;
+    for i = 1, X_1j = X_1j - X_1n = -sum_{b=j}^{n-1} sum_{a<b} s_ab, that is
+        X_1j = -sum_{b=j}^{n-1} X_{b-1,b+1} + sum_{b=j}^{n-1} sum_{a <= b-2} c_ab.
+    The constants are only added and negated, so the mesh may hold Polynomials.
     """
+    pairs = _mesh_pairs(n)
+    if len(mesh) != len(pairs):
+        raise ValueError(f"the {n}-point ABHY chart needs {len(pairs)} mesh constants, not {len(mesh)}")
+    forms = {}
+    for i, j in polygon_diagonals(n):
+        if i == 1:
+            coeffs = tuple(-int(a >= j - 1) for a in range(2, n - 1))
+            const = sum((c for (a, b), c in zip(pairs, mesh) if b >= j), 0)
+        else:
+            coeffs = tuple(int(i <= a <= j - 2) for a in range(2, n - 1))
+            const = -sum((c for (a, b), c in zip(pairs, mesh) if a >= i and b < j), 0)
+        forms[(i, j)] = (coeffs, const)
+    return forms
+
+
+def abhy_constants(k: KinematicData) -> tuple[Fraction, Fraction, Fraction]:
+    """Mesh constants (c13, c14, c24) = (-s13, -s14, -s24) of the pentagon
+    realization: abhy_mesh at n = 5.  All three must be positive for the
+    pentagon to exist; sample_abhy_kinematics generates such points."""
     if k.n != 5:
         raise ValueError("the pentagon realization is for n = 5")
-    x = planar_variables(k)
-    c13 = x[(1, 3)] + x[(2, 4)] - x[(1, 4)]
-    c14 = x[(1, 4)] + x[(2, 5)] - x[(2, 4)]
-    c24 = x[(2, 4)] + x[(3, 5)] - x[(2, 5)]
-    return c13, c14, c24
+    return abhy_mesh(k)
 
 
 def sample_abhy_kinematics(seed: int) -> KinematicData:
     """n=5 kinematics with all planar variables positive and positive mesh
-    constants: a random point in the interior of a random pentagon."""
+    constants: a random point (a, b) = (X24, X35) in the interior of a random
+    pentagon, the other planar variables read from the chart."""
     rng = random.Random(seed)
-    c13 = Fraction(rng.randint(1, 36), 6)
-    c14 = Fraction(rng.randint(1, 36), 6)
-    c24 = Fraction(rng.randint(1, 36), 6)
+    c13, c14, c24 = (Fraction(rng.randint(1, 36), 6) for _ in range(3))
     corners = [
         (c24, Fraction(0)),
         (c13 + c14 + c24, Fraction(0)),
@@ -253,11 +292,5 @@ def sample_abhy_kinematics(seed: int) -> KinematicData:
     total = sum(weights)
     a = sum(w * v[0] for w, v in zip(weights, corners)) / total
     b = sum(w * v[1] for w, v in zip(weights, corners)) / total
-    planar = {
-        (2, 4): a,
-        (3, 5): b,
-        (2, 5): a + b - c24,
-        (1, 4): c14 + c24 - b,
-        (1, 3): c13 + c14 + c24 - a - b,
-    }
+    planar = {d: p * a + q * b + const for d, ((p, q), const) in abhy_planar_forms(5, (c13, c14, c24)).items()}
     return kinematics_from_planar(5, planar)

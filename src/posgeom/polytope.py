@@ -7,9 +7,9 @@ rays of {w : r.w >= 0 for every row r} with the rows each is tight on.  It
 serves cone_facet_normals (so the configurations of grassmann.py too),
 from_vertices on the rows (p, -1), whose rays are the facets, and
 from_halfspaces on the rows (-a, b) and (0, ..., 0, 1), whose rays are the
-vertices.  Its cost follows the rays it meets, not the row subsets: the ABHY
-associahedron at ten points (35 halfspaces in dimension 7, 1430 vertices)
-builds from its halfspaces in under a second.
+vertices.  Its cost follows the rays it meets, not the row subsets:
+abhy_associahedron, {X_D >= 0} in the ABHY chart of kinematics.py, builds at
+ten points (35 halfspaces in dimension 7, 1430 vertices) in under a second.
 
 The canonical function adopted here is d! * vol((P - x) polar), i.e. the
 normalized dual volume.  For a simplex it is the closed form
@@ -23,9 +23,9 @@ divisions by the interior walls leave the numerator over the facet product.
 Simple polytopes admit a second route, the sum over vertices of |det of the
 active facet normals| / product of the active facet forms; the two routes
 agree exactly and the test suite insists on it.  This is the unique
-normalization for which the pentagon built by abhy_pentagon has unit
-numerators over adjacent facet pairs, so its canonical function reproduces
-the five-point tree amplitude.
+normalization for which the associahedron has unit numerators over its
+vertices, so its canonical function reproduces the tree amplitude; the
+pentagon, abhy_pentagon, is its five-point case.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .exact import (
     _primitive_integer,
     det,
 )
+from .kinematics import abhy_planar_forms
+from .trees import enumerate_triangulations
 
 Vector = tuple[Fraction, ...]
 Facet = tuple[Vector, Fraction]  # (a, b) meaning a.x <= b
@@ -431,52 +433,34 @@ def dual_volume_oracle(p: Polytope, x0: Sequence) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# the pentagon realization
+# the ABHY associahedron
 # --------------------------------------------------------------------------
 
-# facet label -> (normal a, offset b as combination of (1, c13, c14, c24))
-_ABHY_FACETS: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int, int]]] = {
-    (2, 4): ((-1, 0), (0, 0, 0)),
-    (3, 5): ((0, -1), (0, 0, 0)),
-    (2, 5): ((-1, -1), (0, 0, -1)),
-    (1, 4): ((0, 1), (0, 1, 1)),
-    (1, 3): ((1, 1), (1, 1, 1)),
-}
+
+def abhy_associahedron(n: int, mesh: Sequence) -> Polytope:
+    """The ABHY associahedron {X_D >= 0 for every diagonal D} of the n-point
+    chart with the given mesh constants (kinematics.abhy_planar_forms), in
+    the coordinates X_{i,i+2}, 2 <= i <= n-2.  Requires positive constants."""
+    mesh = _fracvec(mesh)
+    if any(c <= 0 for c in mesh):
+        raise ValueError("mesh constants must be positive")
+    forms = abhy_planar_forms(n, mesh).values()
+    return Polytope.from_halfspaces([(tuple(-x for x in coeffs), const) for coeffs, const in forms])
 
 
 def abhy_pentagon(c13, c14, c24) -> Polytope:
     """Pentagon in coordinates (a, b) whose five facet forms are the planar
     variables: X24 = a, X35 = b, X25 = a+b-c24, X14 = c14+c24-b,
-    X13 = c13+c14+c24-a-b.  Requires positive mesh constants."""
-    c13, c14, c24 = Fraction(c13), Fraction(c14), Fraction(c24)
-    if c13 <= 0 or c14 <= 0 or c24 <= 0:
-        raise ValueError("pentagon constants must be positive")
-    cs = (c13, c14, c24)
-    halfspaces = []
-    for normal, offset in _ABHY_FACETS.values():
-        b = sum((Fraction(w) * c for w, c in zip(offset, cs)), Fraction(0))
-        halfspaces.append((tuple(Fraction(x) for x in normal), b))
-    return Polytope.from_halfspaces(halfspaces)
+    X13 = c13+c14+c24-a-b.  The n = 5 case of abhy_associahedron."""
+    return abhy_associahedron(5, (c13, c14, c24))
 
 
 def abhy_facet_forms(c13, c14, c24, variables: Sequence[str] = ("a", "b")) -> dict:
-    """The five facet linear forms keyed by their planar-variable label."""
-    cs = (Fraction(c13), Fraction(c14), Fraction(c24))
-    out = {}
-    for label, (normal, offset) in _ABHY_FACETS.items():
-        b = sum((Fraction(w) * c for w, c in zip(offset, cs)), Fraction(0))
-        out[label] = facet_form((_fracvec(normal), b), tuple(variables))
-    return out
-
-
-# vertex structure of the pentagon: the five adjacent facet pairs
-ABHY_VERTEX_PAIRS = (
-    ((1, 3), (1, 4)),
-    ((2, 4), (2, 5)),
-    ((1, 3), (3, 5)),
-    ((2, 4), (1, 4)),
-    ((2, 5), (3, 5)),
-)
+    """The five facet linear forms keyed by their planar-variable label, read
+    from the n = 5 chart; the constants may be numbers or Polynomials."""
+    mesh = [c if isinstance(c, Polynomial) else Fraction(c) for c in (c13, c14, c24)]
+    forms = abhy_planar_forms(5, mesh).items()
+    return {d: _linear_polynomial((*coeffs, 0), tuple(variables)) + const for d, (coeffs, const) in forms}
 
 
 def abhy_identity_symbolic() -> tuple[RationalFunction, RationalFunction]:
@@ -486,27 +470,18 @@ def abhy_identity_symbolic() -> tuple[RationalFunction, RationalFunction]:
     The left side is computed by the fan triangulation with symbolic mesh
     constants (the three triangle orientations are sign-definite on the
     positive chamber because their determinants have positive coefficients);
-    the right side is the sum of 1/(X X') over adjacent facet pairs.  The two
-    must be rf-equal; the acceptance suite asserts it.
+    the right side is the sum of 1/(X X') over the triangulations of the
+    pentagon, the adjacent facet pairs, with the forms read from the chart.
+    The two must be rf-equal; the acceptance suite asserts it.
     """
     variables = ("a", "b", "c13", "c14", "c24")
-    c13 = Polynomial.variable("c13")
-    c14 = Polynomial.variable("c14")
-    c24 = Polynomial.variable("c24")
+    a, b, c13, c14, c24 = map(Polynomial.variable, variables)
     zero = Polynomial.const(0)
     one = Polynomial.const(1)
 
-    forms = {}
-    a = Polynomial.variable("a")
-    b = Polynomial.variable("b")
-    forms[(2, 4)] = a
-    forms[(3, 5)] = b
-    forms[(2, 5)] = a + b - c24
-    forms[(1, 4)] = c14 + c24 - b
-    forms[(1, 3)] = c13 + c14 + c24 - a - b
-
+    forms = abhy_facet_forms(c13, c14, c24)
     amplitude = RationalFunction(Polynomial.zero(variables))
-    for f, g in ABHY_VERTEX_PAIRS:
+    for f, g in (t.diagonals for t in enumerate_triangulations(5)):
         amplitude = amplitude + RationalFunction(one, forms[f] * forms[g])
 
     corners = [
@@ -522,12 +497,8 @@ def abhy_identity_symbolic() -> tuple[RationalFunction, RationalFunction]:
         tri = (apex, corner_b, corner_c)
 
         def row_det(rows):
-            r0, r1, r2 = rows
-            return (
-                r0[0] * (r1[1] - r2[1])
-                - r0[1] * (r1[0] - r2[0])
-                + (r1[0] * r2[1] - r1[1] * r2[0])
-            )
+            (x0, y0), (x1, y1), (x2, y2) = rows
+            return x0 * (y1 - y2) - y0 * (x1 - x2) + (x1 * y2 - y1 * x2)
 
         orientation = row_det(tri)
         if any(c < 0 for c in orientation.terms.values()):

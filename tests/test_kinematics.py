@@ -129,6 +129,14 @@ def test_sampled_kinematics_are_pinned():
         assert is_generic(sample_kinematics(n, seed))
 
 
+def test_sampled_abhy_kinematics_are_pinned():
+    # the JSON of the pentagon sampler's first 50 draws, as it was when the
+    # planar values were written out by hand rather than read from the chart
+    lines = [json.dumps(sample_abhy_kinematics(seed).to_dict()) for seed in range(50)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "08d5aab3d5cf1846e477da539ba41744afba602233dfc713d2be6556ce589c0e"
+
+
 @pytest.mark.parametrize("n", range(13, 21))
 def test_large_n_samples_in_under_a_second(n):
     for positive in (False, True):

@@ -18,9 +18,18 @@ from posgeom.exact import (
     rf_equal,
     solve_linear,
 )
-from posgeom.kinematics import kinematics_from_planar, polygon_diagonals
+from posgeom.kinematics import (
+    abhy_constants,
+    abhy_mesh,
+    abhy_planar_forms,
+    kinematics_from_planar,
+    planar_variables,
+    sample_abhy_kinematics,
+    sample_kinematics,
+)
 from posgeom.polytope import (
     Polytope,
+    abhy_associahedron,
     abhy_facet_forms,
     abhy_identity_symbolic,
     abhy_pentagon,
@@ -29,6 +38,7 @@ from posgeom.polytope import (
     canonical_parts,
     canonical_vertex_sum,
     cone_facet_normals,
+    default_variables,
     dual_volume_oracle,
     facet_form,
     _wall_key,
@@ -524,41 +534,70 @@ def test_cone_facet_normals_need_spanning_rows():
     assert cone_facet_normals(rows) == []
 
 
-def abhy_halfspaces(n, rng):
-    """{X_D >= 0} as halfspaces in the basis X_13, ..., X_1(n-1), with each
-    X_ij from the mesh relation X_{i+1,j+1} = c_ij + X_{i,j+1} + X_{i+1,j} - X_ij
-    at random positive rational c (X on polygon edges and X_1n are 0).
-    Returns the halfspaces and the forms {D: (coefficients, constant)}."""
-    basis = [(1, j) for j in range(3, n)]
-    forms = {(1, j): (tuple(int(e == (1, j)) for e in basis), F(0)) for j in range(3, n)}
-    zero = (tuple(0 for _ in basis), F(0))
+def random_mesh(n, rng):
+    """Random positive mesh constants for the n-point ABHY chart."""
+    return [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range((n - 2) * (n - 3) // 2)]
 
-    def x(i, j):
-        return zero if j == i + 1 or (i, j) == (1, n) else forms[(i, j)]
 
-    for i in range(1, n - 2):
-        for j in range(i + 2, n):
-            (up, cu), (left, cl), (diag, cd) = x(i, j + 1), x(i + 1, j), x(i, j)
-            c = F(rng.randint(1, 9), rng.randint(1, 4))
-            forms[(i + 1, j + 1)] = (tuple(p + q - r for p, q, r in zip(up, left, diag)), c + cu + cl - cd)
-    assert sorted(forms) == polygon_diagonals(n)
-    return [(tuple(-v for v in coeffs), const) for coeffs, const in forms.values()], forms
+def chart_planar(n, mesh, y):
+    """The planar variables of the n-point ABHY chart at the point y."""
+    forms = abhy_planar_forms(n, mesh)
+    return {d: sum(c * v for c, v in zip(coeffs, y)) + const for d, (coeffs, const) in forms.items()}
 
 
 @pytest.mark.parametrize("n, facets, vertices", [(6, 9, 14), (7, 14, 42), (8, 20, 132), (9, 27, 429)])
 def test_abhy_associahedron_from_halfspaces(n, facets, vertices):
-    halfspaces, forms = abhy_halfspaces(n, random.Random(n))
-    p = Polytope.from_halfspaces(halfspaces)
+    p = abhy_associahedron(n, random_mesh(n, random.Random(n)))
     assert (p.dim, len(p.facets), len(p.vertices)) == (n - 3, facets, vertices)
     assert p.is_simple()
     if n >= 7:
         assert Polytope.from_vertices(p.vertices) == p
+
+
+def test_abhy_pentagon_is_the_five_point_chart():
+    # the pentagon against its corners, written out independently of the chart
+    for seed in range(100):
+        k = sample_abhy_kinematics(seed)
+        c13, c14, c24 = abhy_constants(k)
+        corners = [(c24, 0), (c13 + c14 + c24, 0), (c13, c14 + c24), (0, c14 + c24), (0, c24)]
+        p = abhy_associahedron(5, abhy_mesh(k))
+        assert p == abhy_pentagon(c13, c14, c24) == Polytope.from_vertices(corners)
+        assert p.contains((k.entry(2, 3), k.entry(3, 4)), strict=True)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_abhy_planar_forms_reproduce_the_planar_variables(n):
+    # the chart is an identity on the kinematic space, whatever the signs
+    for seed in range(4):
+        k = sample_kinematics(n, seed, positive=seed < 2)
+        planar = planar_variables(k)
+        point = [planar[(i, i + 2)] for i in range(2, n - 1)]
+        assert chart_planar(n, abhy_mesh(k), point) == planar
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_abhy_vertex_sum_is_the_tree_amplitude(n):
+    mesh = random_mesh(n, random.Random(10 + n))
+    p = abhy_associahedron(n, mesh)
+    y = interior_point(p, n)
+    planar = chart_planar(n, mesh, y)
+    assert all(v > 0 for v in planar.values())
+    k = kinematics_from_planar(n, planar)
+    assert abhy_mesh(k) == tuple(mesh)
+    point = dict(zip(default_variables(n - 3), y))
+    value = canonical_vertex_sum(p).evaluate(point)
+    assert value == tree_amplitude(k)
     if n == 6:
-        y = interior_point(p, 0)
-        planar = {d: sum(c * v for c, v in zip(coeffs, y)) + const for d, (coeffs, const) in forms.items()}
-        assert all(v > 0 for v in planar.values())
-        value = canonical_vertex_sum(p).evaluate(dict(zip(("x1", "x2", "x3"), y)))
-        assert value == tree_amplitude(kinematics_from_planar(6, planar))
+        assert canonical_function(p).evaluate(point) == value
+
+
+def test_abhy_mesh_validation():
+    mesh = random_mesh(6, random.Random(0))
+    for bad in (0, F(-1, 2)):
+        with pytest.raises(ValueError):
+            abhy_associahedron(6, mesh[:2] + [bad] + mesh[3:])
+    with pytest.raises(ValueError):
+        abhy_associahedron(6, mesh[:-1])
 
 
 def test_abhy_pentagon_unit_constants():
@@ -631,8 +670,8 @@ def test_canonical_function_in_dimension_3(name):
     # the octahedron is not simple; the ABHY associahedron at six points is,
     # and its canonical function is the tree amplitude
     if name == "abhy6":
-        halfspaces, forms = abhy_halfspaces(6, random.Random(6))
-        p = Polytope.from_halfspaces(halfspaces)
+        mesh = random_mesh(6, random.Random(6))
+        p = abhy_associahedron(6, mesh)
     else:
         p = Polytope.from_vertices({"cube": CUBE, "simplex": SIMPLEX_3, "octahedron": OCTAHEDRON}[name])
     num, den = canonical_parts(p)
@@ -647,8 +686,7 @@ def test_canonical_function_in_dimension_3(name):
     value = fan.evaluate(dict(zip(("x1", "x2", "x3"), x0)))
     assert value == dual_volume_oracle(p, x0)
     if name == "abhy6":
-        planar = {d: sum(c * v for c, v in zip(coeffs, x0)) + const for d, (coeffs, const) in forms.items()}
-        assert value == tree_amplitude(kinematics_from_planar(6, planar))
+        assert value == tree_amplitude(kinematics_from_planar(6, chart_planar(6, mesh, x0)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
