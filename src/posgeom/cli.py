@@ -39,7 +39,7 @@ from .kinematics import (
     sample_abhy_kinematics,
     sample_kinematics,
 )
-from .polytope import Polytope, abhy_pentagon, adjoint, canonical_function, canonical_parts
+from .polytope import Polytope, abhy_pentagon, canonical_function, canonical_parts
 from .quadrature import QuadratureError
 from .signature import PiecewiseLinearPath, signature
 from .trees import enumerate_triangulations, tree_amplitude
@@ -272,7 +272,7 @@ def cmd_canonical_form(args, inputs):
         "polytope": poly.to_dict(),
         "canonical_numerator": str(num),
         "canonical_denominator": str(den),
-        "adjoint": str(adjoint(poly)),
+        "adjoint": str(num.primitive()),
     }
 
 
@@ -292,9 +292,9 @@ def cmd_abhy(args, inputs):
 
 # verify_u_equations takes 0.7 s at n = 7 and 9 s at n = 8, growing fast
 MAX_U_EQUATIONS_N = 8
-# the fan canonical function takes 0.05 s on the six-point ABHY associahedron
-# (dimension 3, 14 vertices) and 270 s on the seven-point one (dimension 4)
-MAX_CANONICAL_DIM = 3
+# the fan canonical function takes 0.6 s on the seven-point ABHY associahedron
+# (dimension 4, 42 vertices) and 630 s on the eight-point one (dimension 5)
+MAX_CANONICAL_DIM = 4
 
 
 def cmd_dihedral(args, inputs):

@@ -18,10 +18,9 @@ otherwise, so full multivariate gcd reduction is never needed.
 Arithmetic runs on the integer forms and builds no Fraction.  A sum scales
 both numerator maps to the lcm of the denominators; a product convolves the
 numerators over the product of the denominators; each divides out the gcd
-of the result.  Exact division runs the long division on the dividend's
-numerators and the primitive part of the divisor's, whose quotient is
-integral by Gauss's lemma.  A dense tensor likewise keeps integer entries
-over one denominator and builds its `entries` Fractions on first read.
+of the result.  A dense tensor likewise keeps integer entries over one
+denominator, builds its `entries` Fractions on first read and shows the
+integers themselves through `integer_form`.
 Linear algebra scales each row to integers over the lcm of its denominators
 and runs one fraction-free (Bareiss) elimination, which serves the
 determinant, the rank and the solver alike: every intermediate entry is a
@@ -30,8 +29,8 @@ back-substitution (Bareiss, Math. Comp. 22, 1968).
 
 The Polynomial constructor checks and cleans outside input: it sorts the
 variables, converts the coefficients and drops zero terms.  Sums,
-products, negations, embeddings and quotients build clean integer forms
-themselves and go through trusted constructors that skip those checks.
+products, negations and embeddings build clean integer forms themselves
+and go through trusted constructors that skip those checks.
 """
 
 from __future__ import annotations
@@ -320,38 +319,6 @@ class Polynomial:
         if g in (0, 1) and self._den == 1:
             return self
         return Polynomial._clean(self.vars, {e: c // g for e, c in self._num.items()})
-
-    def divexact(self, divisor: "Polynomial"):
-        """Exact quotient self/divisor, or None when divisor does not divide."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        a, b = Polynomial.aligned(self, divisor)
-        # self = A / la and divisor = g * B / lb with B primitive; by Gauss's
-        # lemma B divides A in Z[x] if it does in Q[x], so the long division
-        # runs on integers and a fractional step means no quotient
-        g = math.gcd(*b._num.values())
-        right = [(eb, kb // g) for eb, kb in b._num.items()]
-        lead_b, cb = max(right, key=lambda t: _grlex_key(t[0]))
-        rem = dict(a._num)
-        quo: dict[Exponent, int] = {}
-        while rem:
-            lead_r = max(rem, key=_grlex_key)
-            diff = tuple(x - y for x, y in zip(lead_r, lead_b))
-            if any(e < 0 for e in diff):
-                return None
-            c, r = divmod(rem[lead_r], cb)
-            if r:
-                return None
-            quo[diff] = c
-            for eb, kb in right:
-                key = tuple(map(operator.add, diff, eb))
-                val = rem.get(key, 0) - c * kb
-                if val:
-                    rem[key] = val
-                else:
-                    rem.pop(key, None)
-        lb = b._den
-        return Polynomial._reduced(a.vars, {e: c * lb for e, c in quo.items()}, a._den * g)
 
     # -------------------------------------------------------------- display
     def _monomial_str(self, expo: Exponent) -> str:
@@ -760,6 +727,11 @@ class DenseTensor:
                 raise IndexError("index out of range")
             flat = flat * self.dim + i
         return flat
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator > 0), read-only; entry i is their quotient."""
+        return self._num, self._den
 
     def get(self, index: Sequence[int]) -> Fraction:
         return Fraction(self._num[self._flat(index)], self._den)

@@ -18,8 +18,8 @@ normalized dual volume.  For a simplex it is the closed form
 
 and a general polytope is handled by summing its pulling triangulation
 from one vertex, in every dimension; the same simplices give the volume.
-The sum runs over the distinct walls of the triangulation, and exact
-divisions by the interior walls leave the numerator over the facet product.
+The numerator over the facet product has known degree, so the exact values
+of the sum on a lattice fix it, interpolated by forward differences.
 Simple polytopes admit a second route, the sum over vertices of |det of the
 active facet normals| / product of the active facet forms; the two routes
 agree exactly and the test suite insists on it.  This is the unique
@@ -31,6 +31,7 @@ pentagon, abhy_pentagon, is its five-point case.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -298,6 +299,21 @@ def simplex_canonical(
     return RationalFunction(Polynomial.const(scale, variables), denominator)
 
 
+def _lattice_base(start: list[int], forms: list, lattice: list, scale: int) -> tuple[list[int], list[list[int]]]:
+    """A base point q and, at each lattice point a, the values row . (q + a,
+    scale) of the forms, none zero: q = start + t (1, N, ..., N^(d-1)) for the
+    least t >= 0 that works, N = 2 max |normal entry| + 1, so every normal has a
+    nonzero rate (base-N digits) and each form and point rule out at most one t."""
+    d = len(start)
+    big = 2 * max(abs(x) for row in forms for x in row[:d]) + 1
+    rates = [sum(x * big**j for j, x in enumerate(row[:d])) for row in forms]
+    ys = [(*map(operator.add, start, a), scale) for a in lattice]
+    at = [[sum(map(operator.mul, row, y)) for row in forms] for y in ys]
+    bad = {-v // r for vals in at for v, r in zip(vals, rates) if v % r == 0}
+    t = next(t for t in itertools.count() if t not in bad)
+    return [q + t * big**j for j, q in enumerate(start)], [[v + t * r for v, r in zip(vals, rates)] for vals in at]
+
+
 def canonical_parts(
     p: Polytope, variables: Sequence[str] | None = None, apex: int = 0
 ) -> tuple[Polynomial, Polynomial]:
@@ -305,75 +321,78 @@ def canonical_parts(
     of the canonical function from the pulling triangulation from the vertex
     p.vertices[apex].
 
-    The walls of the triangulation are the facets of P and the interior
-    walls through the apex (for a k-gon, the k - 3 diagonals from it).  A
-    wall is the kernel of the rows (v, 1) of its vertices, which is that of
-    the integer rows (s v, s), s the common denominator of the vertices:
-    their signed maximal minors, keyed as a primitive integer vector with
-    first nonzero entry positive, so the simplices on either side of an
-    interior wall share one form; a facet wall's form is its facet form.  A
-    simplex with walls w_i opposite its vertices v_i contributes
-    c / (product of the w_i), where c = product of the w_i(v_i) over
-    |det of the rows (v, 1)|: one integer product over |det of the rows
-    (s v, s)|, since the factors s^(d+1) cancel.  The simplices are summed
-    pairwise, round by round, over the union of their walls:
-    n1 / W1 + n2 / W2 = (n1 * (W2 - W1) + n2 * (W1 - W2)) / (W1 | W2).  An
-    interior wall both halves share is no pole of the sum once every
-    simplex on it is in, and is divided out there.  That leaves the
-    numerator over the facets and the interior walls still left, and one
-    exact division by those walls: the true poles are simple and lie on the
-    facets.
+    Its walls are the facets of P and the interior walls through the apex,
+    keyed by _wall_key on the integer rows (s v, s), s the common
+    denominator of the vertices.  A simplex with walls w_i opposite its
+    vertices v_i contributes c / (product of the w_i), c = product of the
+    w_i(v_i) over |det (v, 1)|, or the same on the rows (s v, s).
+
+    The numerator A, the canonical function times the facet product, has
+    degree m = #facets - d - 1 (Warren, Adv. Comput. Math. 6, 1996), so its
+    exact values on the principal lattice x = (q + a) / s, a >= 0 integer
+    with |a| <= m, fix it; no wall vanishes there (_lattice_base).  Forward
+    differences along each coordinate give A in the basis
+    prod binom(s x_i - q_i, b_i), and falling factorials give its monomials.
     """
     variables = tuple(variables) if variables else default_variables(p.dim)
-    # wall key -> (integer coefficients of the form over (x, 1), the form);
-    # both builders store facets as primitive integer rows
-    walls: dict[tuple[int, ...], tuple[Sequence[int], Polynomial]] = {}
+    d, m, nf = p.dim, len(p.facets) - p.dim - 1, len(p.facets)
+    # wall key -> integer row over (x, 1); facets first, as the builders store them
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     target = Polynomial.const(1, variables)
     for a, b in p.facets:
-        coeffs = tuple(map(int, (*(-x for x in a), b)))
-        form = _linear_polynomial(coeffs, variables)
-        walls[_primitive_integer(coeffs)] = (coeffs, form)
-        target = target * form
-    facets = set(walls)
+        row = tuple(map(int, (*(-x for x in a), b)))
+        rows[_primitive_integer(row)] = row
+        target = target * _linear_polynomial(row, variables)
     simplices, points, scale = p._pulling_triangulation(apex)
-    sums = []
+    by_facet: dict[tuple[int, ...], list] = {}  # the facet opposite the apex -> its simplices
     for simplex in simplices:
-        # the rows scale * (v, 1) have the walls of the rows (v, 1), and
-        # c = prod (c_i . row_i) / |det of the rows|
-        rows = [(*points[i], scale) for i in simplex]
-        num, den = 1, abs(_integer_det([list(row) for row in rows]))
-        keys = set()
-        for i, row in enumerate(rows):
+        vrows = [(*points[i], scale) for i in simplex]
+        num, keys = 1, []
+        for i, vrow in enumerate(vrows):
             # the wall opposite vertex i is the kernel of the other rows
-            key = _wall_key(rows[:i] + rows[i + 1 :])
-            if key not in walls:
-                walls[key] = (key, _linear_polynomial(key, variables))
-            num *= sum(map(operator.mul, walls[key][0], row))
-            keys.add(key)
-        sums.append((Polynomial.const(Fraction(num, den), variables), keys))
-
-    while len(sums) > 1:
-        merged = []
-        for (n1, w1), (n2, w2) in zip(sums[::2], sums[1::2]):
-            for key in w2 - w1:
-                n1 = n1 * walls[key][1]
-            for key in w1 - w2:
-                n2 = n2 * walls[key][1]
-            n, w = n1 + n2, w1 | w2
-            for key in (w1 & w2) - facets:
-                if (q := n.divexact(walls[key][1])) is not None:
-                    n, w = q, w - {key}
-            merged.append((n, w))
-        sums = merged + sums[len(merged) * 2 :]
-    # every facet is a wall of some simplex and is never divided out
-    numerator, keys = sums[0]
-    interior = Polynomial.const(1, variables)
-    for key in keys - facets:
-        interior = interior * walls[key][1]
-    reduced = numerator.divexact(interior)
-    if reduced is None:
-        raise AssertionError("the interior walls do not divide the wall sum")
-    return reduced, target
+            key = _wall_key(vrows[:i] + vrows[i + 1 :])
+            num *= sum(map(operator.mul, rows.setdefault(key, key), vrow))
+            keys.append(key)
+        c = Fraction(num, abs(_integer_det([list(r) for r in vrows])))
+        by_facet.setdefault(keys[simplex.index(apex % len(points))], []).append((c, keys))
+    # each c as an integer over dets, each wall as its position in rows
+    dets = math.lcm(*(c.denominator for cone in by_facet.values() for c, _ in cone))
+    index = {key: i for i, key in enumerate(rows)}
+    cones = [[((c * dets).numerator, [index[k] for k in ks]) for c, ks in cone] for cone in by_facet.values()]
+    cones = [({i for _, s in cone for i in s}, cone) for cone in cones]
+    # at x = (q + a) / scale a form is row . (q + a, scale) over scale, so
+    # A(x) scale^m is the facet product times the sum of c over the walls
+    # of each simplex, all at q + a: an integer over the product of all
+    # walls, summed cone by cone over their own walls to keep divisions short
+    lattice = [a for a in itertools.product(range(m + 1), repeat=d) if sum(a) <= m]
+    base, at = _lattice_base([sum(col) // len(points) for col in zip(*points)], list(rows.values()), lattice, scale)
+    values = []
+    for w in at:
+        full, total = math.prod(w), 0
+        for ids, cone in cones:
+            part = math.prod(w[i] for i in ids)
+            total += full // part * sum(c * (part // math.prod(w[i] for i in s)) for c, s in cone)
+        values.append(Fraction(total, dets * math.prod(w[nf:])))
+    # the values as integers over one denominator, then forward differences
+    den = math.lcm(*(v.denominator for v in values))
+    coeffs = {a: v.numerator * (den // v.denominator) for a, v in zip(lattice, values)}
+    for i in range(d):
+        for k in range(1, m + 1):
+            coeffs = {a: v - coeffs[(*a[:i], a[i] - 1, *a[i + 1 :])] if a[i] >= k else v for a, v in coeffs.items()}
+    # binom(y, b) = (m! / b!) ff_b(y) / m!, ff_b(y) = y (y - 1) ... (y - b + 1):
+    # each coordinate in turn trades b_i for the exponent of x_i
+    for i, q in enumerate(base):
+        ff = [[math.factorial(m)]]  # (m! / b!) ff_b(scale x - q) in x, lowest first
+        for b in range(m):
+            ff.append([(scale * u - (q + b) * v) // (b + 1) for u, v in zip([0, *ff[-1]], [*ff[-1], 0])])
+        out: dict[tuple[int, ...], int] = {}
+        for b, c in coeffs.items():
+            for e, x in enumerate(ff[b[i]]):
+                key = (*b[:i], e, *b[i + 1 :])
+                out[key] = out.get(key, 0) + c * x
+        coeffs = out
+    den *= math.factorial(m) ** d * scale**m
+    return Polynomial(variables, {e: Fraction(c, den) for e, c in coeffs.items()}), target
 
 
 def canonical_function(

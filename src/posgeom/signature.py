@@ -10,12 +10,13 @@ Segments compose by the truncated tensor-algebra product (Chen's rule), so
 a path's signature is a product of segment exponentials.  The product
 accumulates each level on integers over one common denominator.  The
 classical checks (Chen, refinement invariance, reversal inverse) compare
-integer forms and the shuffle relations compare Fraction entries, so they
-are exact equalities rather than tolerance tests.
+integer forms and the shuffle relations cross-multiply integer numerators,
+so they are exact equalities rather than tolerance tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,14 +108,13 @@ class SignatureTensorStack:
         for k in range(depth + 1):
             # level k is the sum over i of A_i (x) B_{k-i}, accumulated as
             # integers over the lcm of the products of the level denominators
-            pairs = [(self.levels[i], other.levels[k - i]) for i in range(k + 1)]
-            l = math.lcm(*(a._den * b._den for a, b in pairs))
+            pairs = [(self.levels[i].integer_form, other.levels[k - i].integer_form) for i in range(k + 1)]
+            l = math.lcm(*(da * db for (_, da), (_, db) in pairs))
             acc = [0] * d**k
-            for a, b in pairs:
-                f = l // (a._den * b._den)
-                ib = b._num
+            for (ia, da), (ib, db) in pairs:
+                f = l // (da * db)
                 width = len(ib)
-                for pos, x in enumerate(a._num):
+                for pos, x in enumerate(ia):
                     if x:
                         x *= f
                         base = pos * width
@@ -186,9 +186,17 @@ def shuffle_check(stack: SignatureTensorStack, word1: Sequence[int], word2: Sequ
     """sigma(word1) * sigma(word2) == sum of sigma over shuffles, exactly."""
     if len(word1) + len(word2) > stack.depth:
         raise ValueError("combined word length exceeds the truncation level")
-    left = stack.entry(word1) * stack.entry(word2)
-    right = sum((stack.entry(w) for w in shuffles(tuple(word1), tuple(word2))), Fraction(0))
-    return left == right
+    if not all(1 <= x <= stack.dim for x in (*word1, *word2)):
+        raise IndexError("index out of range")
+
+    def entry(word):  # (numerator, denominator) from its level's integer form
+        nums, den = stack.levels[len(word)].integer_form
+        return nums[functools.reduce(lambda flat, x: flat * stack.dim + x - 1, word, 0)], den
+
+    (n1, d1), (n2, d2) = entry(word1), entry(word2)
+    shuffled = [entry(w) for w in shuffles(tuple(word1), tuple(word2))]
+    # the shuffles lie on one level, so they share its denominator
+    return n1 * n2 * shuffled[0][1] == sum(n for n, _ in shuffled) * d1 * d2
 
 
 def cyclic_path(nodes: Sequence, dim: int) -> PiecewiseLinearPath:

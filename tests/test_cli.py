@@ -151,7 +151,7 @@ def test_validation_exit_code(tmp_path):
          write_json(tmp_path / "expo.json", with_slot(INTEGRAND, ("forms", 1, "monomials", 0, 0), True))),
     ]
     # malformed polytopes: H rows of the wrong length, an empty point, a
-    # number beyond the float range, and a dimension above the cap of 3
+    # number beyond the float range, and a dimension above the cap of 4
     square = [{"a": ["1", "0"], "b": "1"}, {"a": ["0", "1"], "b": "1"}, {"a": ["0", "-1"], "b": "0"}]
     huge = tmp_path / "huge.json"
     huge.write_text('{"V": [[1e400, 0], [0, 1], [0, 0]]}')
@@ -190,11 +190,17 @@ def test_validation_exit_code(tmp_path):
     # gets the dimension message, not the hull's
     flat5 = write_json(tmp_path / "flat5.json", {"V": [[*p[:4], 0] for p in moment5]})
     code, err = run_main("canonical-form", "--polytope", flat5)
-    assert code == 2 and "canonical-form takes dimension at most 3, got 5" in err, err
+    assert code == 2 and "canonical-form takes dimension at most 4, got 5" in err, err
     # the unit cube is within the cap: its facets pair up in parallel, so the adjoint is 1
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["canonical-form", "--polytope", write_json(tmp_path / "cube.json", {"V": cube})])
+    assert code == 0 and json.loads(out.getvalue())["result"]["adjoint"] == "1"
+    # so is the 4-cube, at the cap, for the same reason
+    cube4 = [[k >> i & 1 for i in range(4)] for k in range(16)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["canonical-form", "--polytope", write_json(tmp_path / "cube4.json", {"V": cube4})])
     assert code == 0 and json.loads(out.getvalue())["result"]["adjoint"] == "1"
     # roots are verified against --tol, so it must be finite and positive
     abhy_point = write_json(tmp_path / "abhy.json", sample_abhy_kinematics(0).to_dict())

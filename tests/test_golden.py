@@ -1,9 +1,9 @@
 """Byte-identity of the exact layer's printed results on a fixed corpus.
 
 The digests pin the str/repr of canonical functions (three apexes), adjoints,
-vertex sums, volumes, signature levels and ABHY pentagons.  A change to the
-arithmetic's internal representation must leave every one of these strings
-as it was.
+vertex sums, volumes, signature levels, ABHY pentagons and the fan parts of
+six-point ABHY associahedra.  A change to the arithmetic's internal
+representation must leave every one of these strings as it was.
 """
 
 import hashlib
@@ -14,9 +14,11 @@ from fractions import Fraction as F
 from posgeom.kinematics import abhy_constants, sample_abhy_kinematics
 from posgeom.polytope import (
     Polytope,
+    abhy_associahedron,
     abhy_pentagon,
     adjoint,
     canonical_function,
+    canonical_parts,
     canonical_vertex_sum,
 )
 from posgeom.signature import PiecewiseLinearPath, signature
@@ -69,6 +71,24 @@ def test_pentagon_outputs_are_pinned():
     for seed in range(20):
         lines += polytope_lines(f"pentagon{seed}", abhy_pentagon(*abhy_constants(sample_abhy_kinematics(seed))))
     assert digest(lines) == "6e7758ed7708f7e565644a5458a0b9a30695d9c7b1d95516ec3a1e794cef2ec4"
+
+
+# sha256 of repr(canonical_parts) from apexes 0-2 on five seeded meshes,
+# computed by the pairwise symbolic merge the lattice evaluation replaced
+ASSOCIAHEDRON_DIGESTS = [
+    "f4609d39ea483975448aa350cff074e92dd49b8048128309c150c78f61d4275f",
+    "57466491f7d9d99d40e2ac8587dc4052fc67e633bac203b380c387a3eacf5a92",
+    "5f1d0516dd77f748f1a3b331e9c471426dd5e77cc0972f8e68343d4701a71b17",
+    "905898acfc28a0e2ee5e6236e536976890e8864c434a9cb67a5dec8dafed2b43",
+    "740285b0c9247c13314576c0570092dfcbc6059f9fd50ebeb59c8844ce19ee7b",
+]
+
+
+def test_six_point_associahedron_fans_are_pinned():
+    for seed, expected in enumerate(ASSOCIAHEDRON_DIGESTS):
+        rng = random.Random(seed)
+        p = abhy_associahedron(6, [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(6)])
+        assert digest([repr(canonical_parts(p, apex=apex)) for apex in range(3)]) == expected, seed
 
 
 def test_signature_levels_are_pinned():

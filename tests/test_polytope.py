@@ -41,6 +41,7 @@ from posgeom.polytope import (
     default_variables,
     dual_volume_oracle,
     facet_form,
+    _lattice_base,
     _wall_key,
     polar_dual,
     simplex_canonical,
@@ -167,8 +168,7 @@ def counterclockwise(poly):
 def reference_fan_parts(poly, apex=0, variables=("x1", "x2")):
     """The fan route summed triangle by triangle over the boundary cycle:
     each triangle's canonical function is added over the product of all
-    triangle denominators, of degree 3(k - 2), and the sum times the facet
-    product is divided by it."""
+    triangle denominators, of degree 3(k - 2); returned unreduced."""
     cyc = counterclockwise(poly)
     k = len(cyc)
     apex %= k
@@ -181,10 +181,7 @@ def reference_fan_parts(poly, apex=0, variables=("x1", "x2")):
     num, den = pieces[0]
     for n, d in pieces[1:]:
         num, den = num * d + n * den, den * d
-    target = Polynomial.const(1, variables)
-    for f in poly.facets:
-        target = target * facet_form(f, variables)
-    return (num * target).divexact(den), target
+    return num, den
 
 
 RATIONAL_COORDS = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -215,11 +212,16 @@ def convex_polygons(draw):
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(convex_polygons(), st.integers(0, 8))
 def test_fan_over_distinct_walls_matches_the_triangle_by_triangle_sum(poly, apex):
-    reference = reference_fan_parts(poly, apex)
+    num_ref, den_ref = reference_fan_parts(poly, apex)
+    target = Polynomial.const(1, ("x1", "x2"))
+    for f in poly.facets:
+        target = target * facet_form(f, ("x1", "x2"))
+    # the denominator is the facet product, so the numerator is the unique
+    # polynomial over it
     for a in range(len(poly.vertices)):
         num, den = canonical_parts(poly, apex=a)
-        assert (num.terms, den.terms) == (reference[0].terms, reference[1].terms)
-    assert rf_equal(RationalFunction(*reference), canonical_vertex_sum(poly))
+        assert den == target and num * den_ref == num_ref * target
+    assert rf_equal(RationalFunction(num_ref, den_ref), canonical_vertex_sum(poly))
 
 
 def shoelace_area(poly):
@@ -247,14 +249,15 @@ def test_fan_route_stands_alone(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the fan route called another route")
 
-    poly = moment_polygon(4, 7)
-    expected = canonical_parts(poly)
+    polys = [moment_polygon(4, 7), abhy_associahedron(6, random_mesh(6, random.Random(6)))]
+    expected = [canonical_parts(poly) for poly in polys]
     for name in ("canonical_vertex_sum", "dual_volume_oracle", "polar_dual"):
         monkeypatch.setattr(polytope, name, forbidden)
     monkeypatch.setattr(Polytope, "active_facets", forbidden)
-    for apex in range(7):
-        num, den = canonical_parts(poly, apex=apex)
-        assert (num.terms, den.terms) == (expected[0].terms, expected[1].terms)
+    for poly, (num0, den0) in zip(polys, expected):
+        for apex in range(len(poly.vertices)):
+            num, den = canonical_parts(poly, apex=apex)
+            assert (num.terms, den.terms) == (num0.terms, den0.terms)
 
 
 def test_adjoint_degree_is_v_minus_3():
@@ -687,6 +690,59 @@ def test_canonical_function_in_dimension_3(name):
     assert value == dual_volume_oracle(p, x0)
     if name == "abhy6":
         assert value == tree_amplitude(kinematics_from_planar(6, chart_planar(6, mesh, x0)))
+
+
+CUBE_4 = [tuple(k >> i & 1 for i in range(4)) for k in range(16)]
+CROSS_4 = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("name", ["4-cube", "4-cross", "abhy7"])
+def test_canonical_function_in_dimension_4(name):
+    # the 4-cross-polytope is not simple; the ABHY associahedron at seven
+    # points is, and its canonical function is the tree amplitude
+    if name == "abhy7":
+        mesh = random_mesh(7, random.Random(7))
+        p = abhy_associahedron(7, mesh)
+    else:
+        p = Polytope.from_vertices(CUBE_4 if name == "4-cube" else CROSS_4)
+    num, den = canonical_parts(p)
+    other = canonical_parts(p, apex=len(p.vertices) - 1)
+    assert (other[0].terms, other[1].terms) == (num.terms, den.terms)
+    if name == "4-cube":
+        assert num == 1  # its facets pair up in parallel
+    fan = RationalFunction(num, den)
+    assert p.is_simple() == (name != "4-cross")
+    if p.is_simple():
+        assert rf_equal(fan, canonical_vertex_sum(p))
+    x0 = interior_point(p, 4)
+    value = fan.evaluate(dict(zip(default_variables(4), x0)))
+    assert value == dual_volume_oracle(p, x0)
+    if name == "abhy7":
+        assert value == tree_amplitude(kinematics_from_planar(7, chart_planar(7, mesh, x0)))
+
+
+def test_lattice_base_moves_off_the_walls(monkeypatch):
+    # the unit square's centroid (1/2, 1/2) rounds down onto the vertex
+    # (0, 0), where two facets vanish, so the base point has to move
+    import posgeom.polytope as polytope
+
+    calls = []
+
+    def spy(start, *args):
+        base, at = _lattice_base(start, *args)
+        calls.append((start, base, at))
+        return base, at
+
+    monkeypatch.setattr(polytope, "_lattice_base", spy)
+    square = Polytope.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+    x1, x2 = RationalFunction.variable("x1"), RationalFunction.variable("x2")
+    for apex in range(4):
+        num, den = canonical_parts(square, apex=apex)
+        assert num == 1 and rf_equal(RationalFunction(num, den), 1 / (x1 * x2 * (1 - x1) * (1 - x2)))
+    assert len(calls) == 4
+    for start, base, at in calls:
+        assert start == [0, 0] and base != start
+        assert all(all(values) for values in at)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
