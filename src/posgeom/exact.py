@@ -620,9 +620,10 @@ def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence | None = None) -> LinearSolution:
     """Solve matrix*x = rhs exactly (rhs omitted or zero: homogeneous system).
 
-    Fraction-free Bareiss forward elimination on integer-scaled rows, exact
-    rational back-substitution for the particular solution (free variables
-    set to zero) and for one kernel vector per free column.
+    Fraction-free Bareiss forward elimination on integer-scaled rows, then
+    back-substitution on integers over one common denominator for the
+    particular solution (free variables set to zero; Fractions built at the
+    end) and for one kernel vector per free column.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -637,22 +638,23 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence | None = None) -> Lin
 
     free_cols = [c for c in range(ncols) if c not in pivots]
 
-    def back_substitute(free_values: dict[int, Fraction], rhs_col: bool) -> list[Fraction]:
-        x = [Fraction(0)] * ncols
-        for c, v in free_values.items():
-            x[c] = v
+    def back_substitute(x: list[int], rhs_col: bool) -> tuple[list[int], int]:
+        """Complete x, which holds the free values, to the solution x / den."""
+        den = 1
         for i, c in reversed(list(enumerate(pivots))):
-            acc = Fraction(rows[i][ncols]) if rhs_col else Fraction(0)
-            for j in range(c + 1, ncols):
-                if rows[i][j] != 0:
-                    acc -= rows[i][j] * x[j]
-            x[c] = acc / rows[i][c]
-        return x
+            row = rows[i]
+            num = (row[ncols] * den if rhs_col else 0) - sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j])
+            x = [v * row[c] for v in x]
+            x[c], den = num, den * row[c]
+        return x, den
 
-    particular = tuple(back_substitute({c: Fraction(0) for c in free_cols}, True))
+    if any(rows[i][ncols] for i in range(len(pivots))):
+        x, den = back_substitute([0] * ncols, True)
+        particular = tuple(Fraction(v, den) for v in x)
+    else:
+        particular = (Fraction(0),) * ncols
     kernel = tuple(
-        _primitive_integer(back_substitute({c: Fraction(1 if c == f else 0) for c in free_cols}, False))
-        for f in free_cols
+        _primitive_integer(back_substitute([int(c == f) for c in range(ncols)], False)[0]) for f in free_cols
     )
     status = "unique" if not free_cols else "kernel"
     return LinearSolution(status, particular, kernel)

@@ -7,27 +7,41 @@ by Z is a full-dimensional semi-algebraic set of lines, and the numerator
 of the associated rational form is a linear equation in Pluecker
 coordinates recovered here by interpolation.
 
-Everything is exact: brackets are 4 x 4 determinants over the rationals,
-membership is a sign pattern (one sign along the cyclic chain, exactly two
-sign flips along the first row, zeros skipped), stabbing is feasibility of
-a strictly interior point on the line against the facet cone, and the
-interpolation system is solved by fraction-free elimination.
+Everything is exact and runs on integers, each row or point scaled by the
+lcm of its denominators.  A bracket <a b Z_i Z_j> is the Laplace pairing of
+the Pluecker coordinates of (a, b) and (Z_i, Z_j); membership is a sign
+pattern (one sign along the cyclic chain, exactly two sign flips along the
+first row, zeros skipped); the line stabs iff the pairs (f.A, f.B) over the
+facet normals f are nonzero and lie in an open half-plane, which their
+exact angular order decides; interpolation is fraction-free elimination.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exact import det, solve_linear
-from .polytope import _fracvec, cone_facet_normals
+from .exact import _integer_det, _integer_row, solve_linear
+from .polytope import _extreme_rays, _fracvec, _wall_key, cone_facet_normals
 
 Vector = tuple[Fraction, ...]
 
 PLUECKER_ORDER: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
+def _pluecker(u: Sequence, v: Sequence) -> tuple:
+    """The 2 x 2 minors of the rows u, v in PLUECKER_ORDER."""
+    return tuple(u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1] for i, j in PLUECKER_ORDER)
+
+
+def _laplace_pairing(p: Sequence, q: Sequence):
+    """det(u, v, x, y) from p = _pluecker(u, v) and q = _pluecker(x, y)."""
+    return p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
 
 
 @dataclass(frozen=True)
@@ -41,8 +55,10 @@ class ZMatrix:
             raise ValueError("rows must have length 4")
         if len(self.rows) < 4:
             raise ValueError("need at least 4 rows")
+        # each row times the positive lcm of its denominators: (integers, lcm)
+        object.__setattr__(self, "_scaled", tuple(_integer_row(r) for r in self.rows))
         for subset in combinations(range(len(self.rows)), 4):
-            if det([self.rows[i] for i in subset]) <= 0:
+            if _integer_det([list(self._scaled[i][0]) for i in subset]) <= 0:
                 raise ValueError(f"ordered minor {subset} is not positive")
 
     @property
@@ -85,9 +101,7 @@ class PlueckerLine:
 
     @classmethod
     def from_points(cls, a: Sequence, b: Sequence) -> "PlueckerLine":
-        a, b = _fracvec(a), _fracvec(b)
-        coords = tuple(a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1] for (i, j) in PLUECKER_ORDER)
-        return cls(coords)
+        return cls(_pluecker(_fracvec(a), _fracvec(b)))
 
     def point_pair(self) -> tuple[Vector, Vector]:
         """Two spanning points recovered from the coordinates (any pair is
@@ -114,11 +128,13 @@ class PlueckerLine:
 
 
 def brackets(a: Sequence, b: Sequence, z: ZMatrix) -> dict[tuple[int, int], Fraction]:
-    """All 4 x 4 determinants det(a, b, Z_i, Z_j) for i < j."""
-    a, b = _fracvec(a), _fracvec(b)
+    """All 4 x 4 determinants det(a, b, Z_i, Z_j) for i < j, each the Laplace
+    pairing of integer Pluecker coordinates over the product of the scales."""
+    (ia, la), (ib, lb) = _integer_row(a), _integer_row(b)
+    p, lab = _pluecker(ia, ib), la * lb
     out = {}
-    for i, j in combinations(range(1, z.n + 1), 2):
-        out[(i, j)] = det([a, b, z.row(i), z.row(j)])
+    for (i, (zi, li)), (j, (zj, lj)) in combinations(enumerate(z._scaled, 1), 2):
+        out[(i, j)] = Fraction(_laplace_pairing(p, _pluecker(zi, zj)), lab * li * lj)
     return out
 
 
@@ -142,13 +158,12 @@ class MembershipVerdict:
         return tuple(0 if v == 0 else (1 if v > 0 else -1) for v in self.chain)
 
 
-def _line_points(line) -> tuple[Vector, Vector]:
+def _line_points(line) -> tuple[Sequence, Sequence]:
     if isinstance(line, PlueckerLine):
         return line.point_pair()
     a, b = line
-    a, b = _fracvec(a), _fracvec(b)
-    if all(v == 0 for v in PlueckerLine.from_points(a, b).p):
-        raise ValueError("degenerate line: points are dependent")
+    if not any(_pluecker(_integer_row(a)[0], _integer_row(b)[0])):
+        raise ValueError("zero Pluecker vector")
     return a, b
 
 
@@ -192,35 +207,35 @@ def cone_facets(z: ZMatrix) -> list[Vector]:
     return cone_facet_normals(z.rows)
 
 
+@functools.cmp_to_key
+def _angular(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """Angle order: half-plane [0, pi) before [pi, 2 pi), then counterclockwise."""
+    hu, hv = (0 if y > 0 or (y == 0 and x > 0) else 1 for x, y in (u, v))
+    return (hu - hv) or (u[1] * v[0] - u[0] * v[1])
+
+
+def _open_cone_nonempty(normals: list[tuple[int, int]]) -> bool:
+    """Whether some x in the plane has n.x > 0 for every integer pair n: no
+    pair is (0, 0) and, sorted by angle, a cyclically consecutive pair turns
+    by more than pi (negative cross product) or all point the same way."""
+    if (0, 0) in normals:
+        return False
+    normals = sorted(normals, key=_angular)
+    # (cross, dot) of each cyclically consecutive pair
+    pairs = zip(normals, normals[1:] + normals[:1])
+    turns = [(u0 * v1 - u1 * v0, u0 * v0 + u1 * v1) for (u0, u1), (v0, v1) in pairs]
+    return any(cross < 0 for cross, _ in turns) or all(cross == 0 and dot > 0 for cross, dot in turns)
+
+
 def stabs(line, z: ZMatrix) -> bool:
     """True iff some point lam*A + mu*B lies strictly inside every facet of
-    the cone over Z.  Feasibility of the open planar cone intersection is
-    decided exactly: it is empty iff zero is a nontrivial nonnegative
-    combination of the constraint normals (checked over pairs and triples,
-    which suffices in the plane)."""
-    a, b = _line_points(line)
-    constraints = []
-    for f in cone_facets(z):
-        alpha = sum(x * y for x, y in zip(f, a))
-        beta = sum(x * y for x, y in zip(f, b))
-        constraints.append((alpha, beta))
-    # any zero constraint row means the whole line lies inside that facet
-    # hyperplane, so strict feasibility fails
-    for alpha, beta in constraints:
-        if alpha == 0 and beta == 0:
-            return False
-    # antiparallel pair of constraint normals
-    for (a1, b1), (a2, b2) in combinations(constraints, 2):
-        if a1 * b2 - a2 * b1 == 0 and a1 * a2 + b1 * b2 < 0:
-            return False
-    # zero interior to a triangle of normals
-    for trio in combinations(constraints, 3):
-        m = [[trio[0][0], trio[1][0], trio[2][0]], [trio[0][1], trio[1][1], trio[2][1]]]
-        for vec in solve_linear(m).kernel:
-            vals = [Fraction(v) for v in vec]
-            if all(v > 0 for v in vals) or all(v < 0 for v in vals):
-                return False
-    return True
+    the cone over Z.  Each primitive integer facet normal f gives the pair
+    (f.A, f.B) over the integer-scaled points; by Gordan's alternative the
+    open cone of (lam, mu) is empty iff some pair is (0, 0) or the pairs lie
+    in no open half-plane, which their exact angular order decides."""
+    ia, ib = (_integer_row(p)[0] for p in _line_points(line))
+    rays = _extreme_rays([r for r, _ in z._scaled]) or []
+    return _open_cone_nonempty([(sum(map(operator.mul, f, ia)), sum(map(operator.mul, f, ib))) for f, _ in rays])
 
 
 # --------------------------------------------------------------------------
@@ -229,10 +244,10 @@ def stabs(line, z: ZMatrix) -> bool:
 
 
 def _plane_normal(points: Sequence[Vector]) -> Vector:
-    sol = solve_linear([list(p) for p in points])
-    if len(sol.kernel) != 1:
+    normal = _wall_key([_integer_row(p)[0] for p in points])
+    if not any(normal):
         raise ValueError("points do not span a plane")
-    return tuple(Fraction(v) for v in sol.kernel[0])
+    return tuple(Fraction(v) for v in normal)
 
 
 def special_line(i: int, z: ZMatrix) -> PlueckerLine:

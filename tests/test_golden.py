@@ -1,8 +1,10 @@
 """Byte-identity of the exact layer's printed results on a fixed corpus.
 
 The digests pin the str/repr of canonical functions (three apexes), adjoints,
-vertex sums, volumes, signature levels, ABHY pentagons and the fan parts of
-six-point ABHY associahedra.  A change to the arithmetic's internal
+vertex sums, volumes, signature levels, ABHY pentagons, the fan parts of
+six-point ABHY associahedra, and the brackets, membership verdicts, stabbing
+verdicts, special lines and adjoint interpolations of positive
+configurations.  A change to the arithmetic's internal
 representation must leave every one of these strings as it was.
 """
 
@@ -11,6 +13,18 @@ import json
 import random
 from fractions import Fraction as F
 
+from posgeom.grassmann import (
+    PlueckerLine,
+    ZMatrix,
+    adjoint_interpolation,
+    brackets,
+    centroid_stab_line,
+    membership,
+    random_member,
+    special_line,
+    stabs,
+    twisted_cubic_z,
+)
 from posgeom.kinematics import abhy_constants, sample_abhy_kinematics
 from posgeom.polytope import (
     Polytope,
@@ -101,3 +115,50 @@ def test_signature_levels_are_pinned():
                 lines.append(f"{dim} {i} {level!r} {[str(x) for x in level.entries]} {level.to_nested()}")
     assert digest(lines) == "9887268084c91971c3f81e4c2519e72d505cabf4007b6a16d0db91607abe6d21"
 
+
+def grassmann_corpus():
+    """Twisted cubics at n = 5, 6, 7 with positive row scales, each with
+    member images, its centroid line, lines through its rows and random
+    rational lines (some given by Pluecker coordinates)."""
+    rng = random.Random(22)
+    cases = []
+    for n in (5, 6, 7):
+        for _ in range(3):
+            scale = rng.randint(1, 5)
+            cubic = twisted_cubic_z([F(t, scale) for t in sorted(rng.sample(range(-30, 30), n))])
+            weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+            z = ZMatrix(tuple(tuple(w * x for x in row) for w, row in zip(weights, cubic.rows)))
+            lines = [random_member(z, seed) for seed in range(3)]
+            lines += [centroid_stab_line(z), (z.row(1), z.row(2)), (z.row(1), z.row(3)), (z.row(2), z.row(n))]
+            while len(lines) < 15:
+                a, b = ([F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)] for _ in range(2))
+                try:
+                    lines.append(PlueckerLine.from_points(a, b) if len(lines) % 2 else (a, b))
+                except ValueError:  # dependent draw
+                    continue
+            cases.append((z, lines))
+    return cases
+
+
+# sha256 of the repr of each output over grassmann_corpus()
+GRASSMANN_DIGESTS = {
+    "brackets": "cb823f8778771d287bd8ea303c5952ba7781f9027532a4542fca4eacc8d98527",
+    "membership": "38502d26d20b42051b7cc4491624c9f2bf42e9965582bbb345430905602439c7",
+    "stabs": "d43a35f9f3ba7b1a1c4246d5efff697579932030d8799ca6b63a5af72362b7dd",
+    "special_line": "7e1598510135165a5c86fd2fcefd75c420e383033327cdfc5825379c2de00710",
+    "adjoint_interpolation": "de22336bfd4095751903d7226537deed372691529f3ed7c8963312dc0e11ae46",
+}
+
+
+def test_grassmann_outputs_are_pinned():
+    found = {"brackets": [], "membership": [], "stabs": [], "special_line": [], "adjoint_interpolation": []}
+    for z, zlines in grassmann_corpus():
+        for line in zlines:
+            points = line.point_pair() if isinstance(line, PlueckerLine) else line
+            found["brackets"].append(repr(brackets(*points, z)))
+            found["membership"].append(repr(membership(line, z, extended=z.n != 5)))
+            found["stabs"].append(repr(stabs(line, z)))
+        found["special_line"] += [repr(special_line(i, z).p) for i in range(1, z.n + 1)]
+        if z.n == 5:
+            found["adjoint_interpolation"].append(repr(adjoint_interpolation(z)))
+    assert {key: digest(lines) for key, lines in found.items()} == GRASSMANN_DIGESTS

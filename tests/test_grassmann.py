@@ -3,12 +3,15 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from posgeom.exact import det, matrix_rank
+from posgeom.exact import det, matrix_rank, solve_linear
 from posgeom.grassmann import (
     PLUECKER_ORDER,
     PlueckerLine,
     ZMatrix,
+    _open_cone_nonempty,
     adjoint_interpolation,
     brackets,
     centroid_stab_line,
@@ -23,6 +26,36 @@ from posgeom.grassmann import (
 )
 
 Z = twisted_cubic_z([1, 2, 3, 4, 5])
+
+
+def reference_open_cone(constraints):
+    """Whether some (lam, mu) is strictly positive on every constraint pair:
+    empty iff zero is a nontrivial nonnegative combination of the pairs,
+    checked over pairs and triples, which suffices in the plane."""
+    # a zero constraint row means the whole line lies inside that facet
+    # hyperplane, so strict feasibility fails
+    for alpha, beta in constraints:
+        if alpha == 0 and beta == 0:
+            return False
+    # antiparallel pair of constraint normals
+    for (a1, b1), (a2, b2) in combinations(constraints, 2):
+        if a1 * b2 - a2 * b1 == 0 and a1 * a2 + b1 * b2 < 0:
+            return False
+    # zero interior to a triangle of normals
+    for trio in combinations(constraints, 3):
+        m = [[trio[0][0], trio[1][0], trio[2][0]], [trio[0][1], trio[1][1], trio[2][1]]]
+        for vec in solve_linear(m).kernel:
+            vals = [F(v) for v in vec]
+            if all(v > 0 for v in vals) or all(v < 0 for v in vals):
+                return False
+    return True
+
+
+def reference_stabs(line, z):
+    """Stabbing by the pairs-and-triples test on the Fraction facet normals."""
+    a, b = (tuple(F(x) for x in p) for p in (line.point_pair() if isinstance(line, PlueckerLine) else line))
+    constraints = [(sum(x * y for x, y in zip(f, a)), sum(x * y for x, y in zip(f, b))) for f in cone_facets(z)]
+    return reference_open_cone(constraints)
 
 
 def test_twisted_cubic_rows_and_minor():
@@ -180,3 +213,65 @@ def test_extended_membership_flag():
         membership(random_member(z6, 0), z6)
     verdict = membership(random_member(z6, 0), z6, extended=True)
     assert verdict.extended and verdict.member
+
+
+@pytest.mark.parametrize(
+    "normals, expected",
+    [
+        ([], True),
+        ([(3, -1)], True),
+        ([(1, 0), (0, 0)], False),  # a (0, 0) constraint
+        ([(1, 1), (1, -1), (0, 0)], False),  # the others lie in a half-plane
+        ([(1, 2), (-2, -4)], False),  # antiparallel pair
+        ([(1, 2), (-1, -2), (5, -1)], False),
+        ([(1, 2), (2, 4), (3, 6)], True),  # collinear, one direction
+        ([(1, 2), (2, 4), (-1, -2)], False),  # collinear, both directions
+        ([(1, 0), (0, 1), (-1, 0)], False),  # a gap of exactly pi
+        ([(1, 0), (0, 1), (-1, 1)], True),  # a gap wider than pi
+        ([(1, 0), (-1, 1), (-1, -1)], False),  # zero strictly inside a triangle
+        ([(1, 0), (-1, 1), (-1, -1), (1, 1)], False),
+        ([(2, -1), (1, 1), (-1, 3), (0, 1)], True),
+        ([(0, -1), (1, -1), (-1, -1)], True),  # all in the lower half-plane
+    ],
+)
+def test_open_cone_built_cases(normals, expected):
+    assert _open_cone_nonempty(normals) == reference_open_cone(normals) == expected
+
+
+def test_line_in_a_facet_hyperplane_does_not_stab():
+    # the edge Z1 Z2 lies in every facet through it: a (0, 0) constraint
+    line = (Z.row(1), Z.row(2))
+    assert not stabs(line, Z) and not reference_stabs(line, Z)
+
+
+POINT = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(5, 7),
+    nodes=st.lists(st.integers(-9, 9), min_size=7, max_size=7, unique=True),
+    weights=st.lists(st.lists(st.integers(-2, 4), min_size=7, max_size=7), min_size=2, max_size=2),
+    shift=st.tuples(POINT, POINT),
+)
+def test_stabs_matches_reference(n, nodes, weights, shift):
+    """Lines spanned by combinations of the rows of a twisted cubic, moved
+    off the cone by integer offsets."""
+    z = twisted_cubic_z(sorted(nodes[:n]))
+    a, b = (
+        [sum(w * r[c] for w, r in zip(ws, z.rows)) + s[c] for c in range(4)] for ws, s in zip(weights, shift)
+    )
+    assume(any(a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(4), 2)))
+    assert stabs((a, b), z) == reference_stabs((a, b), z)
+
+
+def test_brackets_are_determinants():
+    rng = random.Random(3)
+    for n in (5, 6, 7):
+        z = twisted_cubic_z([F(t, 2) for t in sorted(rng.sample(range(-15, 15), n))])
+        for _ in range(5):
+            a, b = ([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)] for _ in range(2))
+            br = brackets(a, b, z)
+            assert list(br) == list(combinations(range(1, n + 1), 2))
+            for (i, j), value in br.items():
+                assert type(value) is F and value == det([a, b, z.row(i), z.row(j)])
